@@ -133,13 +133,14 @@ def _load_samples(index: ingest.DatasetIndex, images_dir: Path):
     if missing:
         raise ValueError(f"missing image files in {images_dir}: "
                          f"{', '.join(sorted(missing))}")
+    truths = index.truths_by_image()
     samples = []
     for im in sorted(index.images, key=lambda im: im.id):
         image = ingest.load_image(images_dir / im.file_name)
         if image.shape[:2] != (im.height, im.width):
             raise ValueError(f"{im.file_name}: file is {image.shape[1]}x"
                              f"{image.shape[0]}, index says {im.width}x{im.height}")
-        samples.append(aug.Sample(image, index.boxes_for_image(im.id)))
+        samples.append(aug.Sample(image, truths[im.id]))
     return samples
 
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from detbag.geometry import Box
+from detbag.geometry import Box, box_iou, corners
 from detbag.nms import Detection
 
 IOU_THRESHOLDS = tuple(np.round(np.linspace(0.5, 0.95, 10), 2))
@@ -72,23 +72,7 @@ def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detectio
 
 
 def _iou_matrix(det_boxes: list[Box], truth_boxes: list[Box]) -> np.ndarray:
-    if not det_boxes or not truth_boxes:
-        return np.zeros((len(det_boxes), len(truth_boxes)))
-    d = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in det_boxes],
-                 dtype=float)
-    t = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in truth_boxes],
-                 dtype=float)
-    iw = (np.minimum(d[:, None, 2], t[None, :, 2])
-          - np.maximum(d[:, None, 0], t[None, :, 0]))
-    ih = (np.minimum(d[:, None, 3], t[None, :, 3])
-          - np.maximum(d[:, None, 1], t[None, :, 1]))
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    areas_d = (d[:, 2] - d[:, 0]) * (d[:, 3] - d[:, 1])
-    areas_t = (t[:, 2] - t[:, 0]) * (t[:, 3] - t[:, 1])
-    union = areas_d[:, None] + areas_t[None, :] - inter
-    out = np.zeros_like(inter)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    return box_iou(corners(det_boxes)[:, None], corners(truth_boxes)[None, :])
 
 
 def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:

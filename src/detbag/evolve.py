@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from detbag.decode import Anchor
+from detbag.geometry import box_iou
 
 logger = logging.getLogger(__name__)
 
@@ -161,20 +162,11 @@ def export_history_csv(history: list[GenerationStats], path) -> None:
             writer.writerow([row.generation, repr(row.best), repr(row.mean)])
 
 
-def sphere_fitness(target: dict[str, float]):
-    """Synthetic test objective: negative squared distance to a target point
-    in hyperparameter space (maximum 0 at the target)."""
-    def fitness(vec: HyperVector) -> float:
-        return -sum((vec[name] - t) ** 2 for name, t in target.items())
-    return fitness
-
-
 def wh_iou_matrix(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of (w, h) shapes as if concentric. (n,2)x(m,2) -> (n,m)."""
-    a = shapes_a[:, None, :]
-    b = shapes_b[None, :, :]
-    inter = np.minimum(a, b).prod(axis=2)
-    return inter / (a.prod(axis=2) + b.prod(axis=2) - inter)
+    a = np.hstack([-shapes_a / 2.0, shapes_a / 2.0])
+    b = np.hstack([-shapes_b / 2.0, shapes_b / 2.0])
+    return box_iou(a[:, None], b[None, :])
 
 
 def anchor_recall(shapes, anchors: list[Anchor],

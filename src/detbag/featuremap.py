@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from detbag.decode import sigmoid
+
 SPP_DEFAULT_KERNELS = (1, 5, 9, 13)
 
 
@@ -119,13 +121,6 @@ def pan_aggregate(a: np.ndarray, b: np.ndarray, mode: str = "concat") -> np.ndar
     raise ValueError(f"unknown aggregation mode: {mode!r}")
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def _softplus(x: float) -> float:
     # exact: for x > 0, ln(1+e^x) = x + ln(1+e^-x); keeps exp() underflowing
     if x > 0.0:
@@ -145,9 +140,9 @@ def activation(x: float, kind: str = "mish", alpha: float = 0.1,
         raise ValueError(f"non-finite input: {x}")
     if kind == "mish":
         t = math.tanh(_softplus(x))
-        return x * t, t + x * (1.0 - t * t) * _sigmoid(x)
+        return x * t, t + x * (1.0 - t * t) * sigmoid(x)
     if kind == "swish":
-        s = _sigmoid(x)
+        s = sigmoid(x)
         return x * s, s * (1.0 + x * (1.0 - s))
     if kind == "leaky_relu":
         if x >= 0.0:

@@ -2,13 +2,17 @@
 
 Boxes are plain floats in either corner form (x_min, y_min, x_max, y_max) or
 center form (x_c, y_c, w, h); units are whatever the caller uses (pixels or
-normalized), all metrics are scale invariant.
+normalized), all metrics are scale invariant. The scalar metrics are the
+API and the reference; `box_iou` and `box_diou` are their array kernels over
+corner arrays, used by suppression, evaluation and anchor clustering.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -143,3 +147,39 @@ def ciou(a: Box, b: Box) -> float:
         return d
     alpha = v / (1.0 - iou(a, b) + v)
     return d - alpha * v
+
+
+def corners(boxes) -> np.ndarray:
+    """(n, 4) float array of (x_min, y_min, x_max, y_max) rows."""
+    return np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes],
+                    dtype=float).reshape(-1, 4)
+
+
+def _area(c: np.ndarray) -> np.ndarray:
+    return (c[..., 2] - c[..., 0]) * (c[..., 3] - c[..., 1])
+
+
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Array `iou` of corner arrays (..., 4), broadcast against each other:
+    (4,) x (m, 4) gives a row, (n, 1, 4) x (1, m, 4) an (n, m) matrix.
+    Equals the scalar `iou` exactly, including 0 for an empty union."""
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    union = _area(a) + _area(b) - inter
+    out = np.zeros(inter.shape)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
+def box_diou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Array `diou` of corner arrays (..., 4), broadcast like `box_iou`."""
+    ew = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
+    eh = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
+    c2 = ew * ew + eh * eh
+    dx = (a[..., 0] + a[..., 2]) / 2.0 - (b[..., 0] + b[..., 2]) / 2.0
+    dy = (a[..., 1] + a[..., 3]) / 2.0 - (b[..., 1] + b[..., 3]) / 2.0
+    rho2 = dx * dx + dy * dy
+    penalty = np.zeros(c2.shape)
+    np.divide(rho2, c2, out=penalty, where=c2 > 0.0)
+    return box_iou(a, b) - penalty

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +49,6 @@ class DatasetIndex:
     annotations: tuple[AnnotationRec, ...]
     categories: tuple[Category, ...]
 
-    def image_by_id(self, image_id: int) -> ImageInfo:
-        return {im.id: im for im in self.images}[image_id]
-
     def boxes_for_image(self, image_id: int) -> list[tuple[Box, int]]:
         return [(a.to_box(), a.category_id) for a in self.annotations
                 if a.image_id == image_id]
@@ -80,6 +78,13 @@ def _field(record: dict, key: str, what: str):
     return record[key]
 
 
+def _int_field(record: dict, key: str, what: str) -> int:
+    try:
+        return int(_field(record, key, what))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} field {key!r} must be an integer: {record}") from exc
+
+
 def load_annotations(path) -> DatasetIndex:
     """Parse a COCO-subset annotation file and verify referential integrity.
 
@@ -95,21 +100,27 @@ def load_annotations(path) -> DatasetIndex:
 
 
 def parse_annotations(data: dict) -> DatasetIndex:
+    if not isinstance(data, dict):
+        raise ValueError("annotation JSON must be an object, "
+                         f"not {type(data).__name__}")
     for key in ("images", "annotations", "categories"):
         if not isinstance(data.get(key), list):
             raise ValueError(f"annotation JSON needs a top-level {key!r} array")
+        for i, rec in enumerate(data[key]):
+            if not isinstance(rec, dict):
+                raise ValueError(f"{key} record #{i} must be an object: {rec!r}")
 
     images = []
     for rec in data["images"]:
-        im = ImageInfo(int(_field(rec, "id", "image")),
+        im = ImageInfo(_int_field(rec, "id", "image"),
                        str(_field(rec, "file_name", "image")),
-                       int(_field(rec, "width", "image")),
-                       int(_field(rec, "height", "image")))
+                       _int_field(rec, "width", "image"),
+                       _int_field(rec, "height", "image"))
         if im.width <= 0 or im.height <= 0:
             raise ValueError(f"image {im.id} has non-positive size "
                              f"{im.width}x{im.height}")
         images.append(im)
-    categories = [Category(int(_field(rec, "id", "category")),
+    categories = [Category(_int_field(rec, "id", "category"),
                            str(_field(rec, "name", "category")))
                   for rec in data["categories"]]
     image_ids = {im.id for im in images}
@@ -117,13 +128,15 @@ def parse_annotations(data: dict) -> DatasetIndex:
 
     annotations = []
     for rec in data["annotations"]:
-        ann_id = int(_field(rec, "id", "annotation"))
+        ann_id = _int_field(rec, "id", "annotation")
         bbox = _field(rec, "bbox", "annotation")
-        if len(bbox) != 4:
+        if (not isinstance(bbox, (list, tuple)) or len(bbox) != 4
+                or not all(isinstance(v, Real) and not isinstance(v, bool)
+                           for v in bbox)):
             raise ValueError(f"annotation {ann_id} bbox must be [x, y, w, h]: {bbox}")
-        ann = AnnotationRec(ann_id, int(_field(rec, "image_id", "annotation")),
+        ann = AnnotationRec(ann_id, _int_field(rec, "image_id", "annotation"),
                             tuple(float(v) for v in bbox),
-                            int(_field(rec, "category_id", "annotation")))
+                            _int_field(rec, "category_id", "annotation"))
         if ann.image_id not in image_ids:
             raise ValueError(
                 f"annotation {ann.id} references missing image {ann.image_id}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from detbag.geometry import Box
+from detbag.geometry import Box, box_diou, box_iou, corners
 
 DEFAULT_SCORE_FLOOR = 0.001
 
@@ -31,39 +31,6 @@ class Detection:
             raise ValueError(f"negative class id: {self.class_id}")
 
 
-def _corners(dets: list[Detection]) -> np.ndarray:
-    return np.array(
-        [[d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max] for d in dets],
-        dtype=float,
-    ).reshape(len(dets), 4)
-
-
-def _iou_row(b: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """IoU of one corner-form box against an (n, 4) array of boxes."""
-    iw = np.minimum(b[2], rest[:, 2]) - np.maximum(b[0], rest[:, 0])
-    ih = np.minimum(b[3], rest[:, 3]) - np.maximum(b[1], rest[:, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    areas = (rest[:, 2] - rest[:, 0]) * (rest[:, 3] - rest[:, 1])
-    union = area_b + areas - inter
-    out = np.zeros(len(rest))
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
-
-
-def _diou_row(b: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """DIoU of one corner-form box against an (n, 4) array of boxes."""
-    ew = np.maximum(b[2], rest[:, 2]) - np.minimum(b[0], rest[:, 0])
-    eh = np.maximum(b[3], rest[:, 3]) - np.minimum(b[1], rest[:, 1])
-    c2 = ew * ew + eh * eh
-    dx = (b[0] + b[2]) / 2 - (rest[:, 0] + rest[:, 2]) / 2
-    dy = (b[1] + b[3]) / 2 - (rest[:, 1] + rest[:, 3]) / 2
-    rho2 = dx * dx + dy * dy
-    penalty = np.zeros(len(rest))
-    np.divide(rho2, c2, out=penalty, where=c2 > 0)
-    return _iou_row(b, rest) - penalty
-
-
 def _class_order(dets: list[Detection]) -> dict[int, list[int]]:
     """Input indices per class, sorted by descending score then input index."""
     by_class: dict[int, list[int]] = {}
@@ -75,7 +42,7 @@ def _class_order(dets: list[Detection]) -> dict[int, list[int]]:
 
 
 def _greedy(dets: list[Detection], overlap_row, threshold: float) -> list[Detection]:
-    corners = _corners(dets)
+    boxes = corners(d.box for d in dets)
     kept: list[int] = []
     for idxs in _class_order(dets).values():
         order = np.array(idxs, dtype=int)
@@ -85,7 +52,7 @@ def _greedy(dets: list[Detection], overlap_row, threshold: float) -> list[Detect
             rest = order[1:]
             if not rest.size:
                 break
-            overlap = overlap_row(corners[top], corners[rest])
+            overlap = overlap_row(boxes[top], boxes[rest])
             order = rest[overlap <= threshold]
     kept.sort(key=lambda i: (-dets[i].score, i))
     return [dets[i] for i in kept]
@@ -101,7 +68,7 @@ def greedy_nms(dets: list[Detection], iou_threshold: float = 0.5) -> list[Detect
         raise ValueError(f"iou_threshold outside [0, 1]: {iou_threshold}")
     if not dets:
         return []
-    return _greedy(dets, _iou_row, iou_threshold)
+    return _greedy(dets, box_iou, iou_threshold)
 
 
 def diou_nms(dets: list[Detection], threshold: float = 0.45) -> list[Detection]:
@@ -115,7 +82,7 @@ def diou_nms(dets: list[Detection], threshold: float = 0.45) -> list[Detection]:
         raise ValueError(f"threshold outside [-1, 1]: {threshold}")
     if not dets:
         return []
-    return _greedy(dets, _diou_row, threshold)
+    return _greedy(dets, box_diou, threshold)
 
 
 def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
@@ -137,7 +104,7 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
     if not dets:
         return []
 
-    corners = _corners(dets)
+    boxes = corners(d.box for d in dets)
     scores = np.array([d.score for d in dets], dtype=float)
     out: list[tuple[float, int]] = []  # (final score, input index)
     for idxs in _class_order(dets).values():
@@ -150,7 +117,7 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
             out.append((float(scores[top]), int(top)))
             if not rest.size:
                 break
-            overlap = _iou_row(corners[top], corners[rest])
+            overlap = box_iou(boxes[top], boxes[rest])
             if mode == "linear":
                 decay = np.where(overlap > iou_threshold, 1.0 - overlap, 1.0)
             else:

@@ -38,23 +38,19 @@ def step_decay_lr(t: int, milestones: tuple[int, ...] = DEFAULT_MILESTONES,
     return lr0 * factor**passed
 
 
-def dynamic_minibatch(base_mb: int, base_res: int, current_res: int,
-                      memory_cap_mb_at_base: int | None = None) -> int:
+def dynamic_minibatch(base_mb: int, base_res: int, current_res: int) -> int:
     """Mini-batch size that fills the same memory at a smaller resolution.
 
     Activation memory scales quadratically with resolution, so training at
     current_res < base_res fits floor(base_mb * (base_res/current_res)^2)
-    samples in the budget that base_mb occupies at base_res (the optional
-    memory_cap_mb_at_base documents that budget; the ratio already encodes
-    it). Never returns less than base_mb.
+    samples in the budget that base_mb occupies at base_res. Never returns
+    less than base_mb.
     """
     for name, res in (("base_res", base_res), ("current_res", current_res)):
         if res <= 0 or res % 32 != 0:
             raise ValueError(f"{name} must be a positive multiple of 32: {res}")
     if base_mb < 1:
         raise ValueError(f"base_mb must be positive: {base_mb}")
-    if memory_cap_mb_at_base is not None and memory_cap_mb_at_base <= 0:
-        raise ValueError(f"memory cap must be positive: {memory_cap_mb_at_base}")
     scaled = math.floor(base_mb * (base_res / current_res) ** 2)
     return max(scaled, base_mb)
 

@@ -124,6 +124,21 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("payload", [
+        [{"id": 1}],
+        {"images": [{"id": 1, "file_name": "a.ppm", "width": 8, "height": 8}],
+         "annotations": [{"id": 3, "image_id": 1, "bbox": 5, "category_id": 1}],
+         "categories": [{"id": 1, "name": "c"}]},
+    ], ids=["top-level-array", "scalar-bbox"])
+    def test_malformed_annotations_fail_cleanly(self, tmp_path, capsys, payload):
+        ann = tmp_path / "annotations.json"
+        ann.write_text(json.dumps(payload))
+        dets = write_detections(tmp_path, [])
+        code, out, err = run(capsys, "eval", str(dets), str(ann))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestAugment:
     def run_augment(self, tmp_path, capsys, op, out_name, n_images=4, seed="7",

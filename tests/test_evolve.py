@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 from detbag.decode import Anchor
+from detbag.geometry import Box, iou
 from detbag.evolve import (GAConfig, HyperEntry, HyperVector, KMeansResult,
                            anchor_recall, default_hypervector, evolve,
-                           export_history_csv, kmeans_anchors, sphere_fitness,
-                           wh_iou_matrix)
+                           export_history_csv, kmeans_anchors, wh_iou_matrix)
+
+
+def sphere_fitness(target: dict[str, float]):
+    """Synthetic test objective: negative squared distance to a target point
+    in hyperparameter space (maximum 0 at the target)."""
+    def fitness(vec: HyperVector) -> float:
+        return -sum((vec[name] - t) ** 2 for name, t in target.items())
+    return fitness
 
 
 def three_entry_vector(values=(5.0, 5.0, 5.0)):
@@ -145,6 +153,17 @@ class TestWhIou:
         m = wh_iou_matrix(np.array([[10.0, 10.0]]),
                           np.array([[10.0, 10.0], [20.0, 20.0], [5.0, 40.0]]))
         assert np.allclose(m, [[1.0, 0.25, 0.2]])
+
+    def test_matches_scalar_iou_of_centred_boxes(self):
+        rng = np.random.default_rng(149)
+        a = rng.uniform(0.5, 300.0, (50, 2))
+        b = np.vstack([rng.uniform(0.5, 300.0, (9, 2)), a[:3]])
+
+        def centred(w, h):
+            return Box(-w / 2, -h / 2, w / 2, h / 2)
+
+        assert wh_iou_matrix(a, b).tolist() == [
+            [iou(centred(*sa), centred(*sb)) for sb in b] for sa in a]
 
     def test_anchor_recall(self):
         shapes = [(10.0, 10.0), (100.0, 100.0)]

@@ -1,9 +1,26 @@
 import numpy as np
 import pytest
 
-from detbag.geometry import Box, CenterBox, ciou, diou, giou, iou
+from detbag.geometry import (Box, CenterBox, box_diou, box_iou, ciou, corners,
+                             diou, giou, iou)
 
 METRICS = (iou, giou, diou, ciou)
+# (kernel, scalar reference, allowed gap). box_iou equals iou exactly. The
+# scalar diou squares with `**`, which goes through libm pow and can land one
+# ulp away from the kernel's x * x, so box_diou may differ in the last bit.
+KERNELS = ((box_iou, iou, 0.0), (box_diou, diou, 2 * np.finfo(float).eps))
+
+# identical, edge-touching, corner-touching, disjoint, nested, zero-area
+# inside a box, and two coincident points (empty union)
+EDGE_PAIRS = (
+    (Box(0, 0, 1, 1), Box(0, 0, 1, 1)),
+    (Box(0, 0, 1, 1), Box(1, 0, 2, 1)),
+    (Box(0, 0, 1, 1), Box(1, 1, 2, 2)),
+    (Box(0, 0, 1, 1), Box(2, 2, 3, 3)),
+    (Box(-4, -3, 4, 3), Box(-2, -1, 2, 1)),
+    (Box(0, 0, 2, 2), Box(1, 0, 1, 2)),
+    (Box(1, 1, 1, 1), Box(1, 1, 1, 1)),
+)
 
 
 def raster_iou(a: Box, b: Box, extent: int = 24) -> float:
@@ -155,3 +172,45 @@ class TestMetricProperties:
             a, b = random_box(rng), random_box(rng)
             assert 0.0 <= iou(a, b) <= 1.0
             assert -1.0 <= giou(a, b) <= 1.0
+
+
+class TestArrayKernels:
+    """The array kernels reproduce the scalar reference, within the gaps in
+    KERNELS; edge pairs must match exactly."""
+
+    @staticmethod
+    def boxes(seed, n=60):
+        rng = np.random.default_rng(seed)
+        return ([random_box(rng) for _ in range(n)]
+                + [random_int_box(rng, extent=6) for _ in range(n)]
+                + [b for pair in EDGE_PAIRS for b in pair])
+
+    @pytest.mark.parametrize("kernel,scalar,_gap", KERNELS)
+    @pytest.mark.parametrize("a,b", EDGE_PAIRS)
+    def test_edge_cases(self, kernel, scalar, _gap, a, b):
+        assert kernel(corners([a])[0], corners([b]))[0] == scalar(a, b)
+        assert kernel(corners([b])[0], corners([a]))[0] == scalar(b, a)
+
+    @pytest.mark.parametrize("kernel,scalar,gap", KERNELS)
+    def test_row_matches_scalar(self, kernel, scalar, gap):
+        boxes = self.boxes(23)
+        arr = corners(boxes)
+        for i in range(0, len(boxes), 7):
+            row = kernel(arr[i], arr)
+            assert row.shape == (len(boxes),)
+            want = np.array([scalar(boxes[i], b) for b in boxes])
+            assert np.abs(row - want).max() <= gap
+
+    @pytest.mark.parametrize("kernel,scalar,gap", KERNELS)
+    def test_matrix_matches_scalar(self, kernel, scalar, gap):
+        dets, truths = self.boxes(29, n=40), self.boxes(31, n=15)
+        m = kernel(corners(dets)[:, None], corners(truths)[None, :])
+        want = np.array([[scalar(a, b) for b in truths] for a in dets])
+        assert m.shape == want.shape
+        assert np.abs(m - want).max() <= gap
+
+    def test_empty_operands(self):
+        some = corners([Box(0, 0, 1, 1), Box(0, 0, 2, 2)])
+        assert corners([]).shape == (0, 4)
+        assert box_iou(corners([])[:, None], some[None, :]).shape == (0, 2)
+        assert box_diou(some[:, None], corners([])[None, :]).shape == (2, 0)

@@ -51,6 +51,29 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="categories"):
             parse_annotations({"images": [], "annotations": []})
 
+    def test_top_level_must_be_object(self):
+        with pytest.raises(ValueError, match="must be an object, not list"):
+            parse_annotations([minimal_dataset()])
+
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda d: d["images"].append(7), "images record #1"),
+        (lambda d: d["categories"].insert(0, "cat"), "categories record #0"),
+        (lambda d: d["annotations"][0].update(bbox=5), "annotation 5 bbox"),
+        (lambda d: d["annotations"][0].update(bbox=[1, "2", 3, 4]),
+         "annotation 5 bbox"),
+        (lambda d: d["annotations"][0].update(bbox=[1, 2, True, 4]),
+         "annotation 5 bbox"),
+        (lambda d: d["images"][0].update(id=None), "image field 'id'"),
+        (lambda d: d["annotations"][0].update(category_id=[2]),
+         "annotation field 'category_id'"),
+    ], ids=["image-not-object", "category-not-object", "scalar-bbox",
+            "string-in-bbox", "bool-in-bbox", "null-id", "list-category-id"])
+    def test_wrong_types_name_the_record(self, mutate, match):
+        data = minimal_dataset()
+        mutate(data)
+        with pytest.raises(ValueError, match=match):
+            parse_annotations(data)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
