@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from detbag.geometry import Box, box_iou, corners
+from detbag.geometry import Box, box_area, box_iou, corners
 from detbag.nms import Detection
 
 IOU_THRESHOLDS = tuple(np.round(np.linspace(0.5, 0.95, 10), 2))
@@ -25,16 +25,7 @@ SMALL_MAX_AREA = 32.0**2
 MEDIUM_MAX_AREA = 96.0**2
 
 _BUCKETS = ("all", "small", "medium", "large")
-
-
-def _in_bucket(area: float, bucket: str) -> bool:
-    if bucket == "all":
-        return True
-    if bucket == "small":
-        return area < SMALL_MAX_AREA
-    if bucket == "medium":
-        return SMALL_MAX_AREA <= area <= MEDIUM_MAX_AREA
-    return area > MEDIUM_MAX_AREA
+_THRESHOLDS = np.array(IOU_THRESHOLDS)
 
 
 @dataclass(frozen=True)
@@ -71,10 +62,6 @@ def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detectio
     return out
 
 
-def _iou_matrix(det_boxes: list[Box], truth_boxes: list[Box]) -> np.ndarray:
-    return box_iou(corners(det_boxes)[:, None], corners(truth_boxes)[None, :])
-
-
 def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     """Mean over the 101-point recall grid of the max precision achieved at
     recall >= r."""
@@ -86,15 +73,55 @@ def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     return float(grid_prec.mean())
 
 
-class _ClassEval:
-    """Per-class scratch: detections sorted globally by score, per-image
-    truth lists, and per-image IoU matrices computed once."""
+def _bucket_masks(boxes: np.ndarray) -> np.ndarray:
+    """(4, n) in-bucket flags of corner rows, in `_BUCKETS` order."""
+    area = box_area(boxes)
+    return np.stack([np.ones(area.shape, dtype=bool), area < SMALL_MAX_AREA,
+                     (SMALL_MAX_AREA <= area) & (area <= MEDIUM_MAX_AREA),
+                     area > MEDIUM_MAX_AREA])
 
-    def __init__(self):
-        self.dets: list[tuple[float, int, int, int]] = []  # (score, order, image, det-slot)
-        self.truths: dict[int, list[Box]] = {}
-        self.det_boxes: dict[int, list[Box]] = {}
-        self.ious: dict[int, np.ndarray] = {}
+
+def _match(ious: np.ndarray, truth_in: np.ndarray,
+           det_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching of one image's detections, rows of the (n, m) IoU
+    matrix in (-score, submission) order, for all buckets and thresholds
+    at once. Returns (4, 10, n) flags: true positive, and counted on the
+    precision-recall curve.
+
+    A detection takes the free truth with the highest IoU at or above the
+    threshold, the lower truth index on a tie; a truth inside the bucket
+    beats an ignored one of any IoU. A match to an ignored truth is dropped
+    from the curve, and so is an unmatched detection outside the bucket.
+    """
+    n, m = ious.shape
+    # a truth's key is its rank in the detection's preference order, plus m
+    # when the bucket ignores it; `none` marks that no truth is available
+    rank = np.argsort(np.argsort(-ious, axis=1, kind="stable"), axis=1)
+    ignored = m * ~truth_in[:, None, :]
+    none = 2 * m
+    grid = (len(_BUCKETS), len(_THRESHOLDS))
+    best = np.full((n, *grid), none)
+    free = np.ones((*grid, m), dtype=bool)
+    row_start = m * np.arange(np.prod(grid)).reshape(grid)  # into free.reshape(-1)
+    # a detection under the lowest threshold for every truth matches nothing
+    for d in np.flatnonzero(ious.max(axis=1, initial=0.0) >= _THRESHOLDS[0]):
+        available = (ious[d] >= _THRESHOLDS[:, None]) & free
+        cand = np.where(available, rank[d] + ignored, none)
+        best[d] = cand.min(axis=2)
+        # the picked truth is used from now on, wherever one was picked
+        free.reshape(-1)[row_start + cand.argmin(axis=2)] &= best[d] == none
+    best = best.transpose(1, 2, 0)
+    tp = best < m
+    return tp, tp | ((best == none) & det_in[:, None, :])
+
+
+def _curve_ap(tp: np.ndarray, counted: np.ndarray, n_pos: int) -> float:
+    hits = tp[counted]
+    if not hits.size:
+        return 0.0
+    cum_tp = np.cumsum(hits)
+    cum_fp = np.cumsum(~hits)
+    return _interpolated_ap(cum_tp / n_pos, cum_tp / (cum_tp + cum_fp))
 
 
 def evaluate(dets: Mapping[int, Sequence[Detection]],
@@ -110,38 +137,56 @@ def evaluate(dets: Mapping[int, Sequence[Detection]],
     if unknown:
         raise ValueError(f"detections reference unknown image ids: {sorted(unknown)}")
 
-    classes: dict[int, _ClassEval] = {}
+    # class -> image -> (truth boxes, det boxes, det scores, det submission order)
+    classes: dict[int, dict[int, tuple[list, list, list, list]]] = {}
     for img, labeled in truths.items():
         for box, cid in labeled:
-            ce = classes.setdefault(cid, _ClassEval())
-            ce.truths.setdefault(img, []).append(box)
+            classes.setdefault(cid, {}).setdefault(img, ([], [], [], []))[0].append(box)
     order = 0
     for img in sorted(dets):
         for det in dets[img]:
-            ce = classes.setdefault(det.class_id, _ClassEval())
-            slots = ce.det_boxes.setdefault(img, [])
-            ce.dets.append((det.score, order, img, len(slots)))
-            slots.append(det.box)
+            group = classes.setdefault(det.class_id, {}).setdefault(img, ([], [], [], []))
+            group[1].append(det.box)
+            group[2].append(det.score)
+            group[3].append(order)
             order += 1
-    for ce in classes.values():
-        ce.dets.sort(key=lambda rec: (-rec[0], rec[1]))
-        for img, boxes in ce.det_boxes.items():
-            ce.ious[img] = _iou_matrix(boxes, ce.truths.get(img, []))
 
     # ap[bucket][threshold] = list of per-class APs
     per_class: dict[str, dict[float, list[float]]] = {
         b: {t: [] for t in IOU_THRESHOLDS} for b in _BUCKETS}
-    for ce in classes.values():
-        for bucket in _BUCKETS:
-            truth_ignore = {
-                img: np.array([not _in_bucket(b.area, bucket) for b in boxes])
-                for img, boxes in ce.truths.items()}
-            n_pos = sum(int((~ig).sum()) for ig in truth_ignore.values())
-            if n_pos == 0:
+    for groups in classes.values():
+        n_pos = np.zeros(len(_BUCKETS), dtype=int)
+        scores, orders, tps, counts = [], [], [], []
+        for truth_boxes, det_boxes, det_scores, det_orders in groups.values():
+            tc = corners(truth_boxes)
+            truth_in = _bucket_masks(tc)
+            n_pos += truth_in.sum(axis=1)
+            if not det_boxes:
                 continue
-            for thr in IOU_THRESHOLDS:
-                ap = _class_ap(ce, bucket, thr, truth_ignore, n_pos)
-                per_class[bucket][thr].append(ap)
+            # the image's slice of the class's global (-score, order) order
+            s = np.array(det_scores)
+            by_score = np.argsort(-s, kind="stable")
+            dc = corners(det_boxes)[by_score]
+            tp, counted = _match(box_iou(dc[:, None], tc[None, :]), truth_in,
+                                 _bucket_masks(dc))
+            scores.append(s[by_score])
+            orders.append(np.array(det_orders)[by_score])
+            tps.append(tp)
+            counts.append(counted)
+        if not n_pos.any():
+            continue
+        if scores:
+            merged = np.lexsort((np.concatenate(orders), -np.concatenate(scores)))
+            tp = np.concatenate(tps, axis=2)[:, :, merged]
+            counted = np.concatenate(counts, axis=2)[:, :, merged]
+        else:
+            tp = counted = np.zeros((len(_BUCKETS), len(_THRESHOLDS), 0), dtype=bool)
+        for b, bucket in enumerate(_BUCKETS):
+            if n_pos[b] == 0:
+                continue
+            for t, thr in enumerate(IOU_THRESHOLDS):
+                per_class[bucket][thr].append(
+                    _curve_ap(tp[b, t], counted[b, t], int(n_pos[b])))
 
     def bucket_mean(bucket: str, thresholds=IOU_THRESHOLDS) -> float | None:
         vals = [v for t in thresholds for v in per_class[bucket][t]]
@@ -155,42 +200,3 @@ def evaluate(dets: Mapping[int, Sequence[Detection]],
         ap_medium=bucket_mean("medium"),
         ap_large=bucket_mean("large"),
     )
-
-
-def _class_ap(ce: _ClassEval, bucket: str, thr: float,
-              truth_ignore: dict[int, np.ndarray], n_pos: int) -> float:
-    matched: dict[int, np.ndarray] = {
-        img: np.zeros(len(boxes), dtype=bool) for img, boxes in ce.truths.items()}
-    tp, fp = [], []
-    for _score, _order, img, slot in ce.dets:
-        truth_boxes = ce.truths.get(img, [])
-        row = ce.ious[img][slot] if truth_boxes else np.zeros(0)
-        ignore = truth_ignore.get(img)
-        used = matched.get(img)
-        best, best_ignored = -1, -1
-        for j in range(len(truth_boxes)):
-            if row[j] < thr or used[j]:
-                continue
-            if ignore[j]:
-                if best_ignored < 0 or row[j] > row[best_ignored]:
-                    best_ignored = j
-            elif best < 0 or row[j] > row[best]:
-                best = j
-        if best >= 0:
-            used[best] = True
-            tp.append(1.0)
-            fp.append(0.0)
-        elif best_ignored >= 0:
-            used[best_ignored] = True  # ignored match: drop from the curve
-        else:
-            det_box = ce.det_boxes[img][slot]
-            if _in_bucket(det_box.area, bucket):
-                tp.append(0.0)
-                fp.append(1.0)
-    if not tp:
-        return 0.0
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(fp)
-    recalls = cum_tp / n_pos
-    precisions = cum_tp / (cum_tp + cum_fp)
-    return _interpolated_ap(recalls, precisions)

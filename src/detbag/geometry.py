@@ -125,7 +125,8 @@ def diou(a: Box, b: Box) -> float:
     ay = (a.y_min + a.y_max) / 2.0
     bx = (b.x_min + b.x_max) / 2.0
     by = (b.y_min + b.y_max) / 2.0
-    rho2 = (ax - bx) ** 2 + (ay - by) ** 2
+    dx, dy = ax - bx, ay - by
+    rho2 = dx * dx + dy * dy
     return iou(a, b) - rho2 / c2
 
 
@@ -155,7 +156,8 @@ def corners(boxes) -> np.ndarray:
                     dtype=float).reshape(-1, 4)
 
 
-def _area(c: np.ndarray) -> np.ndarray:
+def box_area(c: np.ndarray) -> np.ndarray:
+    """Array `Box.area` of corner arrays (..., 4)."""
     return (c[..., 2] - c[..., 0]) * (c[..., 3] - c[..., 1])
 
 
@@ -165,8 +167,8 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Equals the scalar `iou` exactly, including 0 for an empty union."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    union = _area(a) + _area(b) - inter
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    union = box_area(a) + box_area(b) - inter
     out = np.zeros(inter.shape)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out

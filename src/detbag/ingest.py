@@ -79,17 +79,27 @@ def _field(record: dict, key: str, what: str):
 
 
 def _int_field(record: dict, key: str, what: str) -> int:
-    try:
-        return int(_field(record, key, what))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} field {key!r} must be an integer: {record}") from exc
+    """A JSON integer field. An integral float such as 1.0 is accepted;
+    1.7, booleans and numeric strings are rejected, not truncated or cast."""
+    value = _field(record, key, what)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} field {key!r} must be an integer: {record}")
+    return value
+
+
+def _check_unique(ids: set[int], new_id: int, what: str, record: dict) -> None:
+    if new_id in ids:
+        raise ValueError(f"duplicate {what} id {new_id}: {record}")
+    ids.add(new_id)
 
 
 def load_annotations(path) -> DatasetIndex:
     """Parse a COCO-subset annotation file and verify referential integrity.
 
     Raises ValueError naming the offending record on malformed structure,
-    dangling ids, or negative sizes.
+    duplicate, fractional or dangling ids, or negative sizes.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -110,25 +120,28 @@ def parse_annotations(data: dict) -> DatasetIndex:
             if not isinstance(rec, dict):
                 raise ValueError(f"{key} record #{i} must be an object: {rec!r}")
 
-    images = []
+    images, image_ids = [], set()
     for rec in data["images"]:
         im = ImageInfo(_int_field(rec, "id", "image"),
                        str(_field(rec, "file_name", "image")),
                        _int_field(rec, "width", "image"),
                        _int_field(rec, "height", "image"))
+        _check_unique(image_ids, im.id, "image", rec)
         if im.width <= 0 or im.height <= 0:
             raise ValueError(f"image {im.id} has non-positive size "
                              f"{im.width}x{im.height}")
         images.append(im)
-    categories = [Category(_int_field(rec, "id", "category"),
-                           str(_field(rec, "name", "category")))
-                  for rec in data["categories"]]
-    image_ids = {im.id for im in images}
-    category_ids = {c.id for c in categories}
+    categories, category_ids = [], set()
+    for rec in data["categories"]:
+        cat = Category(_int_field(rec, "id", "category"),
+                       str(_field(rec, "name", "category")))
+        _check_unique(category_ids, cat.id, "category", rec)
+        categories.append(cat)
 
-    annotations = []
+    annotations, annotation_ids = [], set()
     for rec in data["annotations"]:
         ann_id = _int_field(rec, "id", "annotation")
+        _check_unique(annotation_ids, ann_id, "annotation", rec)
         bbox = _field(rec, "bbox", "annotation")
         if (not isinstance(bbox, (list, tuple)) or len(bbox) != 4
                 or not all(isinstance(v, Real) and not isinstance(v, bool)

@@ -7,7 +7,7 @@ are deterministic across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,23 +106,24 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
 
     boxes = corners(d.box for d in dets)
     scores = np.array([d.score for d in dets], dtype=float)
+    labels = np.array([d.class_id for d in dets])
     out: list[tuple[float, int]] = []  # (final score, input index)
-    for idxs in _class_order(dets).values():
-        live = np.array(idxs, dtype=int)
+    for cid in dict.fromkeys(labels.tolist()):
+        # the live set stays in input-index order, so argmax breaks score
+        # ties toward the lower input index
+        live = np.flatnonzero(labels == cid)
+        live_boxes, live_scores = boxes[live], scores[live]
         while live.size:
-            # argmax on current scores; ties fall to the lower input index
-            # because live stays sorted by input index after boolean masking
-            live = live[np.lexsort((live, -scores[live]))]
-            top, rest = live[0], live[1:]
-            out.append((float(scores[top]), int(top)))
-            if not rest.size:
-                break
-            overlap = box_iou(boxes[top], boxes[rest])
+            k = live_scores.argmax()
+            out.append((float(live_scores[k]), int(live[k])))
+            overlap = box_iou(live_boxes[k], live_boxes)
             if mode == "linear":
                 decay = np.where(overlap > iou_threshold, 1.0 - overlap, 1.0)
             else:
                 decay = np.exp(-(overlap * overlap) / sigma)
-            scores[rest] *= decay
-            live = rest[scores[rest] >= score_floor]
+            live_scores = live_scores * decay
+            keep = live_scores >= score_floor
+            keep[k] = False
+            live, live_boxes, live_scores = live[keep], live_boxes[keep], live_scores[keep]
     out.sort(key=lambda si: (-si[0], si[1]))
-    return [replace(dets[i], score=s) for s, i in out]
+    return [Detection(dets[i].box, s, dets[i].class_id) for s, i in out]

@@ -129,7 +129,10 @@ class TestEval:
         {"images": [{"id": 1, "file_name": "a.ppm", "width": 8, "height": 8}],
          "annotations": [{"id": 3, "image_id": 1, "bbox": 5, "category_id": 1}],
          "categories": [{"id": 1, "name": "c"}]},
-    ], ids=["top-level-array", "scalar-bbox"])
+        {"images": [{"id": 1, "file_name": "a.ppm", "width": 8, "height": 8},
+                    {"id": 1, "file_name": "b.ppm", "width": 16, "height": 16}],
+         "annotations": [], "categories": [{"id": 1, "name": "c"}]},
+    ], ids=["top-level-array", "scalar-bbox", "duplicate-image-id"])
     def test_malformed_annotations_fail_cleanly(self, tmp_path, capsys, payload):
         ann = tmp_path / "annotations.json"
         ann.write_text(json.dumps(payload))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detbag.evalap import EvalResult, evaluate, parse_coco_detections
 from detbag.geometry import Box
@@ -167,6 +169,84 @@ class TestAgainstReference:
                 assert got[key] == pytest.approx(want[key], abs=1e-9), key
 
 
+class TestTieRules:
+    def test_equal_iou_goes_to_lower_truth_index(self):
+        t0, t1 = label(8, 0, 12, 10), label(10, 0, 12, 10)
+        # iou(d, t0) == iou(d, t1) == 5/6; the second detection is t0 itself,
+        # with iou 5/7 < 0.75 to t1, so it matches at 0.75 only if t0 is free
+        dets = {1: [det(10, 0, 10, 10, 0.9), det(8, 0, 12, 10, 0.8)]}
+        lower_first = evaluate(dets, {1: [t0, t1]})
+        assert lower_first.ap75 == pytest.approx(51 / 101)
+        assert evaluate(dets, {1: [t1, t0]}).ap75 == 1.0
+        want = reference_evaluate(dets, {1: [t0, t1]})
+        assert lower_first.as_dict() == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("dets,truths,ap50", [
+        ({1: [det(300, 300, 40, 40, 0.5)], 2: [det(10, 10, 40, 40, 0.5)]},
+         {1: [], 2: [label(10, 10, 40, 40)]}, 0.5),
+        ({2: [det(10, 10, 40, 40, 0.5)], 1: [det(300, 300, 40, 40, 0.5)]},
+         {2: [label(10, 10, 40, 40)], 1: []}, 0.5),
+        ({1: [det(10, 10, 40, 40, 0.5)], 2: [det(300, 300, 40, 40, 0.5)]},
+         {1: [label(10, 10, 40, 40)], 2: []}, 1.0),
+        ({1: [det(300, 300, 40, 40, 0.5), det(10, 10, 40, 40, 0.5)]},
+         {1: [label(10, 10, 40, 40)]}, 0.5),
+    ], ids=["fp-image-first", "sorted-ids-not-dict-order", "tp-image-first",
+            "same-image-list-order"])
+    def test_equal_scores_follow_submission_order(self, dets, truths, ap50):
+        assert evaluate(dets, truths).ap50 == ap50
+        assert reference_evaluate(dets, truths)["AP50"] == pytest.approx(ap50)
+
+    def test_in_bucket_truth_beats_ignored_truth_with_higher_iou(self):
+        medium, large = label(5, 5, 90, 90), label(0, 0, 100, 100)
+        d = det(2.5, 2.5, 95, 95, 0.9)  # iou 0.8975 with medium, 0.9025 with large
+        r = evaluate({1: [d]}, {1: [medium, large]})
+        # AP_M: a true positive at the 8 thresholds up to 0.85, where the
+        # medium truth qualifies; matching the ignored large truth would drop it
+        assert r.ap_medium == pytest.approx(0.8)
+        # AP_L: the large truth is in the bucket at every threshold up to 0.9
+        assert r.ap_large == pytest.approx(0.9)
+        assert r.as_dict() == pytest.approx(
+            reference_evaluate({1: [d]}, {1: [medium, large]}), abs=1e-12)
+
+    def test_unmatched_out_of_bucket_detection_dropped(self):
+        truths = {1: [label(10, 10, 50, 50)]}
+        large_fp = det(300, 200, 120, 120, 0.9)
+        medium_fp = det(300, 200, 50, 50, 0.9)
+        match = det(10, 10, 50, 50, 0.5)
+        assert evaluate({1: [large_fp, match]}, truths).ap_medium == 1.0
+        assert evaluate({1: [medium_fp, match]}, truths).ap_medium == pytest.approx(0.5)
+
+
+class TestCrowded:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(61)
+        truths, dets = {}, {}
+        for img in (1, 2, 3):
+            truths[img], dets[img] = [], []
+            for t in range(6):
+                # pairs of truths overlapping by about half their width
+                if t % 2:
+                    x0, y0, w0, h0 = prev
+                    x, y, w, h = x0 + 0.5 * w0, y0 + rng.uniform(-5, 5), w0, h0
+                else:
+                    w, h = np.exp(rng.uniform(np.log(10), np.log(150), 2))
+                    x, y = rng.uniform(0, 400, 2)
+                prev = (x, y, w, h)
+                cid = 1 + t // 2 % 3
+                truths[img].append(label(x, y, w, h, cid))
+                for _ in range(30):
+                    dx, dy = rng.normal(0, 0.1, 2) * (w, h)
+                    sw, sh = np.exp(rng.normal(0, 0.1, 2))
+                    score = float(rng.choice([0.3, 0.6, rng.uniform(0, 1)]))
+                    dets[img].append(det(x + dx, y + dy, w * sw, h * sh, score,
+                                         cid if rng.random() > 0.1 else int(rng.integers(1, 4))))
+        got = evaluate(dets, truths).as_dict()
+        want = reference_evaluate(dets, truths)
+        assert set(got) == set(want)
+        for key in want:
+            assert got[key] == pytest.approx(want[key], abs=1e-9), key
+
+
 class TestInvariants:
     def base_case(self):
         truths = {1: [label(0, 0, 40, 40), label(100, 100, 40, 40)],
@@ -198,6 +278,17 @@ class TestInvariants:
             r = evaluate(dets, truths)
             assert r.ap50 >= r.ap75
             assert r.ap50 >= r.ap
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           new_ids=st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3,
+                            unique=True).map(sorted))
+    def test_order_preserving_image_relabel(self, seed, new_ids):
+        dets, truths = TestAgainstReference().synthetic(seed)
+        relabel = dict(zip(sorted(truths), new_ids))
+        moved_dets = {relabel[img]: ds for img, ds in dets.items()}
+        moved_truths = {relabel[img]: ts for img, ts in truths.items()}
+        assert evaluate(moved_dets, moved_truths) == evaluate(dets, truths)
 
     def test_result_fields_in_range(self):
         rng_case = TestAgainstReference()

@@ -5,10 +5,8 @@ from detbag.geometry import (Box, CenterBox, box_diou, box_iou, ciou, corners,
                              diou, giou, iou)
 
 METRICS = (iou, giou, diou, ciou)
-# (kernel, scalar reference, allowed gap). box_iou equals iou exactly. The
-# scalar diou squares with `**`, which goes through libm pow and can land one
-# ulp away from the kernel's x * x, so box_diou may differ in the last bit.
-KERNELS = ((box_iou, iou, 0.0), (box_diou, diou, 2 * np.finfo(float).eps))
+# (kernel, scalar reference, allowed gap): each kernel equals its scalar exactly
+KERNELS = ((box_iou, iou, 0.0), (box_diou, diou, 0.0))
 
 # identical, edge-touching, corner-touching, disjoint, nested, zero-area
 # inside a box, and two coincident points (empty union)

@@ -66,13 +66,46 @@ class TestAnnotations:
         (lambda d: d["images"][0].update(id=None), "image field 'id'"),
         (lambda d: d["annotations"][0].update(category_id=[2]),
          "annotation field 'category_id'"),
+        (lambda d: d["images"][0].update(id=True), "image field 'id'"),
+        (lambda d: d["images"][0].update(width="64"), "image field 'width'"),
+        (lambda d: d["images"][0].update(id=1.7), "image field 'id'"),
+        (lambda d: d["annotations"][0].update(id=5.7), "annotation field 'id'"),
+        (lambda d: d["annotations"][0].update(image_id=1.7),
+         "annotation field 'image_id'"),
+        (lambda d: d["annotations"][0].update(category_id=2.7),
+         "annotation field 'category_id'"),
+        (lambda d: d["categories"][0].update(id=2.7), "category field 'id'"),
     ], ids=["image-not-object", "category-not-object", "scalar-bbox",
-            "string-in-bbox", "bool-in-bbox", "null-id", "list-category-id"])
+            "string-in-bbox", "bool-in-bbox", "null-id", "list-category-id",
+            "bool-id", "string-width", "fractional-image-id",
+            "fractional-annotation-id", "fractional-image_id",
+            "fractional-category_id", "fractional-category-id"])
     def test_wrong_types_name_the_record(self, mutate, match):
         data = minimal_dataset()
         mutate(data)
         with pytest.raises(ValueError, match=match):
             parse_annotations(data)
+
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda d: d["images"].append(dict(d["images"][0], file_name="b.ppm")),
+         "duplicate image id 1"),
+        (lambda d: d["annotations"].append(dict(d["annotations"][0])),
+         "duplicate annotation id 5"),
+        (lambda d: d["categories"].append({"id": 2, "name": "dog"}),
+         "duplicate category id 2"),
+    ], ids=["image", "annotation", "category"])
+    def test_duplicate_ids_rejected(self, mutate, match):
+        data = minimal_dataset()
+        mutate(data)
+        with pytest.raises(ValueError, match=match):
+            parse_annotations(data)
+
+    def test_integral_float_ids_accepted(self):
+        data = minimal_dataset()
+        data["images"][0]["id"] = 1.0
+        data["annotations"][0].update(id=5.0, image_id=1.0, category_id=2.0)
+        data["categories"][0]["id"] = 2.0
+        assert parse_annotations(data) == parse_annotations(minimal_dataset())
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,29 @@ def brute_force_greedy(dets, threshold, overlap=iou):
                     if overlap(dets[top].box, dets[i].box) <= threshold]
     kept.sort(key=lambda i: (-dets[i].score, i))
     return [dets[i] for i in kept]
+
+
+def brute_force_soft(dets, threshold, sigma, mode, floor=0.001):
+    """Soft-NMS by explicit loops over the scalar iou: pick the live max
+    (ties to the lower input index), decay the rest of its class, drop
+    scores under the floor."""
+    live = dict(enumerate(d.score for d in dets))
+    out = []
+    while live:
+        top = min(live, key=lambda i: (-live[i], i))
+        out.append((live.pop(top), top))
+        for i in sorted(live):
+            if dets[i].class_id != dets[top].class_id:
+                continue
+            o = iou(dets[top].box, dets[i].box)
+            if mode == "gaussian":
+                live[i] *= math.exp(-(o * o) / sigma)
+            elif o > threshold:
+                live[i] *= 1.0 - o
+            if live[i] < floor:
+                del live[i]
+    out.sort(key=lambda si: (-si[0], si[1]))
+    return [Detection(dets[i].box, s, dets[i].class_id) for s, i in out]
 
 
 def random_detections(rng, n, classes=4):
@@ -123,6 +148,39 @@ class TestSoft:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             soft_nms([], mode="quadratic")
+
+    @pytest.mark.parametrize("mode", ["linear", "gaussian"])
+    def test_tie_after_decay_picks_lower_input_index(self, mode):
+        a = Detection(Box(0, 0, 10, 10), 0.9, 0)
+        c = Detection(Box(0, 0, 20, 10), 0.8, 0)  # iou(a, c) = iou(b, c) = 0.5
+        tied = soft_nms([a, c], 0.45, mode=mode)[1].score  # c after a's decay
+        b = Detection(Box(10, 0, 20, 10), tied, 0)  # touches a: no decay
+        for order in ([a, b, c], [a, c, b]):
+            out = soft_nms(order, 0.45, mode=mode)
+            # b and c tie after a; the earlier one is picked and decays the other
+            first, second = order[1], order[2]
+            assert [(d.box, d.score) for d in out[1:]] == [
+                (first.box, tied), (second.box, out[2].score)]
+            assert out[2].score < tied
+
+    @pytest.mark.parametrize("mode", ["linear", "gaussian"])
+    def test_matches_brute_force_on_crowded_boxes(self, mode):
+        rng = np.random.default_rng(67)
+        dets = []
+        for _ in range(12):
+            x, y = rng.uniform(0, 200, 2)
+            w, h = rng.uniform(10, 60, 2)
+            cid = int(rng.integers(0, 3))
+            for _ in range(15):
+                dx, dy = rng.normal(0, 0.1, 2) * (w, h)
+                score = float(rng.choice([0.5, rng.uniform(0.01, 1.0)]))
+                dets.append(Detection(Box(x + dx, y + dy, x + dx + w, y + dy + h),
+                                      score, cid))
+        got = soft_nms(dets, 0.45, sigma=0.5, mode=mode)
+        want = brute_force_soft(dets, 0.45, 0.5, mode)
+        assert [(d.box, d.class_id) for d in got] == [(d.box, d.class_id) for d in want]
+        assert np.allclose([d.score for d in got], [d.score for d in want],
+                           rtol=1e-12, atol=0.0)
 
 
 class TestDiouNms:
