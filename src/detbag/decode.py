@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from detbag.geometry import Box, CenterBox, iou
+from detbag.geometry import CenterBox
 
 DEFAULT_SENSITIVITY_SCALE = 1.1
 DEFAULT_ASSIGN_IOU_THRESHOLD = 0.213  # genetic-search value, library default
@@ -97,10 +97,15 @@ def decode(p: RawPrediction, cfg: DecodeConfig) -> Decoded:
 
 
 def shape_iou(w_a: float, h_a: float, w_b: float, h_b: float) -> float:
-    """IoU of two box shapes centered at the same point."""
-    half = Box(-w_a / 2, -h_a / 2, w_a / 2, h_a / 2)
-    other = Box(-w_b / 2, -h_b / 2, w_b / 2, h_b / 2)
-    return iou(half, other)
+    """IoU of two box shapes centered at the same point; 0 when both are
+    empty, like the scalar `iou`."""
+    if w_a < 0 or h_a < 0 or w_b < 0 or h_b < 0:
+        raise ValueError(f"negative box side: {(w_a, h_a, w_b, h_b)}")
+    inter = min(w_a, w_b) * min(h_a, h_b)
+    union = w_a * h_a + w_b * h_b - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def assign_anchors(truth: CenterBox, cfg: DecodeConfig,

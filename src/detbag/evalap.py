@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from detbag.geometry import Box, box_area, box_iou, corners
+from detbag.ingest import all_numbers, int_field
 from detbag.nms import Detection
 
 IOU_THRESHOLDS = tuple(np.round(np.linspace(0.5, 0.95, 10), 2))
@@ -48,15 +49,23 @@ class EvalResult:
 
 def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detection]]:
     """Group COCO results records (image_id, category_id, bbox [x,y,w,h],
-    score) into per-image detection lists."""
+    score) into per-image detection lists.
+
+    Ids must be integers and bbox entries and scores numbers, by the rules of
+    `detbag.ingest`; anything else is a ValueError naming the record.
+    """
     out: dict[int, list[Detection]] = {}
     for i, rec in enumerate(records):
         try:
+            img = int_field(rec, "image_id", "detection")
+            cid = int_field(rec, "category_id", "detection")
             x, y, w, h = rec["bbox"]
-            det = Detection(Box(float(x), float(y), float(x) + float(w),
-                                float(y) + float(h)),
-                            float(rec["score"]), int(rec["category_id"]))
-            out.setdefault(int(rec["image_id"]), []).append(det)
+            score = rec["score"]
+            if not all_numbers(x, y, w, h, score):
+                raise ValueError(f"bbox entries and score must be numbers: {rec}")
+            x, y = float(x), float(y)
+            det = Detection(Box(x, y, x + float(w), y + float(h)), float(score), cid)
+            out.setdefault(img, []).append(det)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad detection record #{i}: {exc}") from exc
     return out

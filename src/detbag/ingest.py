@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -73,20 +73,38 @@ class DatasetIndex:
 
 
 def _field(record: dict, key: str, what: str):
-    if key not in record:
-        raise ValueError(f"{what} is missing field {key!r}: {record}")
-    return record[key]
+    try:
+        return record[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing field {key!r}: {record}") from None
 
 
-def _int_field(record: dict, key: str, what: str) -> int:
-    """A JSON integer field. An integral float such as 1.0 is accepted;
-    1.7, booleans and numeric strings are rejected, not truncated or cast."""
+def _is_number(value) -> bool:
+    """A JSON number: a real that is not a boolean."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def all_numbers(*values) -> bool:
+    """Every value is a JSON number. Plain ints and floats, the types
+    `json` produces, pass on their exact type without the `Real` test."""
+    for v in values:
+        if type(v) is not float and type(v) is not int and not _is_number(v):
+            return False
+    return True
+
+
+def int_field(record: dict, key: str, what: str) -> int:
+    """A JSON integer field. An integral float such as 1.0 and a non-boolean
+    `Integral` such as `np.int64` are accepted and returned as `int`; 1.7,
+    booleans and numeric strings are rejected, not truncated or cast."""
     value = _field(record, key, what)
+    if type(value) is int:
+        return value
     if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
+        return int(value)
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{what} field {key!r} must be an integer: {record}")
-    return value
+    return int(value)
 
 
 def _check_unique(ids: set[int], new_id: int, what: str, record: dict) -> None:
@@ -122,10 +140,10 @@ def parse_annotations(data: dict) -> DatasetIndex:
 
     images, image_ids = [], set()
     for rec in data["images"]:
-        im = ImageInfo(_int_field(rec, "id", "image"),
+        im = ImageInfo(int_field(rec, "id", "image"),
                        str(_field(rec, "file_name", "image")),
-                       _int_field(rec, "width", "image"),
-                       _int_field(rec, "height", "image"))
+                       int_field(rec, "width", "image"),
+                       int_field(rec, "height", "image"))
         _check_unique(image_ids, im.id, "image", rec)
         if im.width <= 0 or im.height <= 0:
             raise ValueError(f"image {im.id} has non-positive size "
@@ -133,23 +151,22 @@ def parse_annotations(data: dict) -> DatasetIndex:
         images.append(im)
     categories, category_ids = [], set()
     for rec in data["categories"]:
-        cat = Category(_int_field(rec, "id", "category"),
+        cat = Category(int_field(rec, "id", "category"),
                        str(_field(rec, "name", "category")))
         _check_unique(category_ids, cat.id, "category", rec)
         categories.append(cat)
 
     annotations, annotation_ids = [], set()
     for rec in data["annotations"]:
-        ann_id = _int_field(rec, "id", "annotation")
+        ann_id = int_field(rec, "id", "annotation")
         _check_unique(annotation_ids, ann_id, "annotation", rec)
         bbox = _field(rec, "bbox", "annotation")
         if (not isinstance(bbox, (list, tuple)) or len(bbox) != 4
-                or not all(isinstance(v, Real) and not isinstance(v, bool)
-                           for v in bbox)):
+                or not all_numbers(*bbox)):
             raise ValueError(f"annotation {ann_id} bbox must be [x, y, w, h]: {bbox}")
-        ann = AnnotationRec(ann_id, _int_field(rec, "image_id", "annotation"),
+        ann = AnnotationRec(ann_id, int_field(rec, "image_id", "annotation"),
                             tuple(float(v) for v in bbox),
-                            _int_field(rec, "category_id", "annotation"))
+                            int_field(rec, "category_id", "annotation"))
         if ann.image_id not in image_ids:
             raise ValueError(
                 f"annotation {ann.id} references missing image {ann.image_id}")

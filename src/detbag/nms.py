@@ -31,31 +31,39 @@ class Detection:
             raise ValueError(f"negative class id: {self.class_id}")
 
 
-def _class_order(dets: list[Detection]) -> dict[int, list[int]]:
-    """Input indices per class, sorted by descending score then input index."""
-    by_class: dict[int, list[int]] = {}
-    for i, d in enumerate(dets):
-        by_class.setdefault(d.class_id, []).append(i)
-    for idxs in by_class.values():
-        idxs.sort(key=lambda i: (-dets[i].score, i))
-    return by_class
+def _suppress(dets: list[Detection], overlap_row, rule) -> list[tuple[float, int]]:
+    """The pick loop shared by every variant, as (final score, input index)
+    pairs sorted by descending score, then input index.
 
-
-def _greedy(dets: list[Detection], overlap_row, threshold: float) -> list[Detection]:
+    Each class's live set stays in input order, so argmax breaks a score tie
+    toward the lower input index. After each pick, `rule(overlap, scores)`
+    returns the live-set mask and the (possibly decayed) live scores.
+    """
+    if not dets:
+        return []
     boxes = corners(d.box for d in dets)
-    kept: list[int] = []
-    for idxs in _class_order(dets).values():
-        order = np.array(idxs, dtype=int)
-        while order.size:
-            top = order[0]
-            kept.append(int(top))
-            rest = order[1:]
-            if not rest.size:
-                break
-            overlap = overlap_row(boxes[top], boxes[rest])
-            order = rest[overlap <= threshold]
-    kept.sort(key=lambda i: (-dets[i].score, i))
-    return [dets[i] for i in kept]
+    scores = np.array([d.score for d in dets], dtype=float)
+    labels = np.array([d.class_id for d in dets])
+    out: list[tuple[float, int]] = []
+    for cid in dict.fromkeys(labels.tolist()):
+        live = np.flatnonzero(labels == cid)
+        live_boxes, live_scores = boxes[live], scores[live]
+        while live.size > 1:
+            k = live_scores.argmax()
+            out.append((float(live_scores[k]), int(live[k])))
+            keep, live_scores = rule(overlap_row(live_boxes[k], live_boxes), live_scores)
+            keep[k] = False
+            live, live_boxes, live_scores = live[keep], live_boxes[keep], live_scores[keep]
+        if live.size:  # a lone box is kept without an overlap row
+            out.append((float(live_scores[0]), int(live[0])))
+    out.sort(key=lambda si: (-si[0], si[1]))
+    return out
+
+
+def _keep_below(threshold: float):
+    """The greedy rule: a box stays live while its overlap with the pick is
+    at most the threshold; scores are untouched."""
+    return lambda overlap, scores: (overlap <= threshold, scores)
 
 
 def greedy_nms(dets: list[Detection], iou_threshold: float = 0.5) -> list[Detection]:
@@ -66,9 +74,8 @@ def greedy_nms(dets: list[Detection], iou_threshold: float = 0.5) -> list[Detect
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold outside [0, 1]: {iou_threshold}")
-    if not dets:
-        return []
-    return _greedy(dets, box_iou, iou_threshold)
+    kept = _suppress(dets, box_iou, _keep_below(iou_threshold))
+    return [dets[i] for _, i in kept]
 
 
 def diou_nms(dets: list[Detection], threshold: float = 0.45) -> list[Detection]:
@@ -80,9 +87,8 @@ def diou_nms(dets: list[Detection], threshold: float = 0.45) -> list[Detection]:
     """
     if not -1.0 <= threshold <= 1.0:
         raise ValueError(f"threshold outside [-1, 1]: {threshold}")
-    if not dets:
-        return []
-    return _greedy(dets, box_diou, threshold)
+    kept = _suppress(dets, box_diou, _keep_below(threshold))
+    return [dets[i] for _, i in kept]
 
 
 def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
@@ -101,29 +107,15 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
         raise ValueError(f"sigma must be positive: {sigma}")
     if not 0.0 <= score_floor < 1.0:
         raise ValueError(f"score_floor outside [0, 1): {score_floor}")
-    if not dets:
-        return []
 
-    boxes = corners(d.box for d in dets)
-    scores = np.array([d.score for d in dets], dtype=float)
-    labels = np.array([d.class_id for d in dets])
-    out: list[tuple[float, int]] = []  # (final score, input index)
-    for cid in dict.fromkeys(labels.tolist()):
-        # the live set stays in input-index order, so argmax breaks score
-        # ties toward the lower input index
-        live = np.flatnonzero(labels == cid)
-        live_boxes, live_scores = boxes[live], scores[live]
-        while live.size:
-            k = live_scores.argmax()
-            out.append((float(live_scores[k]), int(live[k])))
-            overlap = box_iou(live_boxes[k], live_boxes)
-            if mode == "linear":
-                decay = np.where(overlap > iou_threshold, 1.0 - overlap, 1.0)
-            else:
-                decay = np.exp(-(overlap * overlap) / sigma)
-            live_scores = live_scores * decay
-            keep = live_scores >= score_floor
-            keep[k] = False
-            live, live_boxes, live_scores = live[keep], live_boxes[keep], live_scores[keep]
-    out.sort(key=lambda si: (-si[0], si[1]))
-    return [Detection(dets[i].box, s, dets[i].class_id) for s, i in out]
+    if mode == "linear":
+        def decay(overlap, scores):
+            scores = scores * np.where(overlap > iou_threshold, 1.0 - overlap, 1.0)
+            return scores >= score_floor, scores
+    else:
+        def decay(overlap, scores):
+            scores = scores * np.exp(-(overlap * overlap) / sigma)
+            return scores >= score_floor, scores
+
+    kept = _suppress(dets, box_iou, decay)
+    return [Detection(dets[i].box, s, dets[i].class_id) for s, i in kept]

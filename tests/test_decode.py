@@ -100,6 +100,32 @@ class TestAssignAnchors:
         assert iou(truth, Box(-10, -10, 10, 10)) == pytest.approx(0.25)
         assert iou(truth, Box(-2.5, -20, 2.5, 20)) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("a,b", [
+        ((10, 10), (10, 10)), ((10, 10), (20, 20)), ((5, 40), (10, 10)),
+        ((0, 0), (0, 0)), ((0, 5), (3, 0)), ((0, 5), (3, 4)), ((7, 0), (7, 0)),
+        ((1e-12, 3.0), (1e12, 2.0)), ((0.1, 0.2), (0.3, 0.7)),
+    ])
+    def test_shape_iou_equals_concentric_iou(self, a, b):
+        def concentric(w, h):
+            return Box(-w / 2, -h / 2, w / 2, h / 2)
+        assert shape_iou(*a, *b) == iou(concentric(*a), concentric(*b))
+        assert shape_iou(*b, *a) == iou(concentric(*b), concentric(*a))
+
+    def test_shape_iou_equals_concentric_iou_on_random_shapes(self):
+        rng = np.random.default_rng(89)
+        sides = np.exp(rng.uniform(-12, 12, (2000, 4)))
+        sides[rng.random(sides.shape) < 0.05] = 0.0
+        for w_a, h_a, w_b, h_b in sides.tolist():
+            want = iou(Box(-w_a / 2, -h_a / 2, w_a / 2, h_a / 2),
+                       Box(-w_b / 2, -h_b / 2, w_b / 2, h_b / 2))
+            assert shape_iou(w_a, h_a, w_b, h_b) == want
+
+    @pytest.mark.parametrize("sides", [(-1, 2, 3, 4), (1, -2, 3, 4),
+                                       (1, 2, -3, 4), (1, 2, 3, -4)])
+    def test_shape_iou_rejects_negative_side(self, sides):
+        with pytest.raises(ValueError, match="negative"):
+            shape_iou(*sides)
+
     def test_cell_is_center_cell(self):
         out = assign_anchors(CenterBox(100, 100, 10, 10), self.CFG, 0.213)
         assert all(cell == (3, 3) for cell, _ in out)  # 100 / 32 = 3.125

@@ -317,3 +317,30 @@ class TestCocoRecords:
                  "score": 0.5},
                 {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1],
                  "score": 0.5}])
+
+    @pytest.mark.parametrize("field,value", [
+        ("image_id", 1.7), ("category_id", 2.9), ("image_id", True),
+        ("category_id", False), ("image_id", "3"), ("category_id", None),
+        ("score", "0.5"), ("score", True), ("bbox", ["1", 0, 5, 5]),
+        ("bbox", [0, True, 5, 5]), ("bbox", [0, 0, 5, None]),
+    ], ids=["fractional-image_id", "fractional-category_id", "bool-image_id",
+            "bool-category_id", "string-image_id", "null-category_id",
+            "string-score", "bool-score", "string-in-bbox", "bool-in-bbox",
+            "null-in-bbox"])
+    def test_wrong_types_rejected(self, field, value):
+        good = {"image_id": 1, "category_id": 2, "bbox": [0, 0, 5, 5], "score": 0.5}
+        with pytest.raises(ValueError, match="^bad detection record #1: "):
+            parse_coco_detections([good, dict(good, **{field: value})])
+
+    def test_integral_float_ids_and_numpy_numbers_accepted(self):
+        out = parse_coco_detections([
+            {"image_id": 4.0, "category_id": 2.0,
+             "bbox": [np.float64(1), 2, 3.5, 4], "score": np.float64(0.25)},
+            {"image_id": np.int64(4), "category_id": np.int64(3),
+             "bbox": [np.int64(1), 2, 3.5, 4], "score": 0.5}])
+        first, second = out[4]
+        assert [type(k) for k in out] == [int]
+        assert type(first.class_id) is int and first.class_id == 2
+        assert first.box == Box(1, 2, 4.5, 6) and first.score == 0.25
+        assert type(second.class_id) is int and second.class_id == 3
+        assert second.box == Box(1, 2, 4.5, 6) and second.score == 0.5

@@ -107,6 +107,15 @@ class TestAnnotations:
         data["categories"][0]["id"] = 2.0
         assert parse_annotations(data) == parse_annotations(minimal_dataset())
 
+    def test_numpy_integer_fields_accepted(self):
+        data = minimal_dataset()
+        data["images"][0].update(id=np.int64(1), width=np.int32(64))
+        data["annotations"][0].update(id=np.int64(5), image_id=np.int64(1),
+                                      bbox=[np.int64(10), 20, 30, 40])
+        index = parse_annotations(data)
+        assert index == parse_annotations(minimal_dataset())
+        assert type(index.images[0].id) is int and type(index.images[0].width) is int
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

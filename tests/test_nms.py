@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detbag.cli import _random_detections
 from detbag.geometry import Box, diou, iou
 from detbag.nms import Detection, diou_nms, greedy_nms, soft_nms
 
@@ -86,6 +89,11 @@ class TestGreedy:
         rng = np.random.default_rng(41)
         dets = random_detections(rng, 1000)
         assert greedy_nms(dets, threshold) == brute_force_greedy(dets, threshold)
+
+    def test_matches_brute_force_on_bench_nms_set(self):
+        # the set `detbag bench-nms --n 2000` times, at its default threshold
+        dets = _random_detections(2000, 5, np.random.default_rng(0))
+        assert greedy_nms(dets, 0.5) == brute_force_greedy(dets, 0.5)
 
     def test_deterministic(self):
         rng = np.random.default_rng(43)
@@ -249,3 +257,63 @@ class TestDetectionValidation:
     def test_class_id(self):
         with pytest.raises(ValueError):
             Detection(Box(0, 0, 1, 1), 0.5, -1)
+
+
+@st.composite
+def integer_detections(draw, distinct_scores=False):
+    """Up to 12 boxes with integer corners (zero sides included), so exact
+    IoU ties with round thresholds occur; scores are tenths, or distinct
+    hundredths."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                                   st.integers(0, 6), st.integers(0, 6),
+                                   st.integers(0, 2)), max_size=12))
+    n = len(rows)
+    if distinct_scores:
+        scores = [k / 100 for k in draw(st.lists(st.integers(0, 100), min_size=n,
+                                                 max_size=n, unique=True))]
+    else:
+        scores = [k / 10 for k in draw(st.lists(st.integers(0, 10), min_size=n,
+                                                max_size=n))]
+    return [Detection(Box(x, y, x + w, y + h), s, c)
+            for (x, y, w, h, c), s in zip(rows, scores)]
+
+
+SUPPRESSORS = [(greedy_nms, [0.0, 0.25, 1 / 3, 0.5, 1.0]),
+               (diou_nms, [-0.5, 0.0, 0.25, 0.5, 1.0])]
+
+
+class TestProperties:
+    @pytest.mark.parametrize("suppress,thresholds", SUPPRESSORS,
+                             ids=["greedy", "diou"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_idempotent(self, suppress, thresholds, data):
+        dets = data.draw(integer_detections())
+        t = data.draw(st.sampled_from(thresholds))
+        once = suppress(dets, t)
+        assert suppress(once, t) == once
+
+    @pytest.mark.parametrize("suppress,thresholds", SUPPRESSORS,
+                             ids=["greedy", "diou"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_distinct_scores_make_input_order_irrelevant(self, suppress, thresholds, data):
+        dets = data.draw(integer_detections(distinct_scores=True))
+        shuffled = data.draw(st.permutations(dets))
+        t = data.draw(st.sampled_from(thresholds))
+        assert suppress(shuffled, t) == suppress(dets, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dets=integer_detections(), t=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]))
+    def test_soft_linear_matches_brute_force(self, dets, t):
+        assert soft_nms(dets, t, mode="linear") == brute_force_soft(dets, t, 0.5, "linear")
+
+    @settings(max_examples=200, deadline=None)
+    @given(dets=integer_detections(), sigma=st.sampled_from([0.1, 0.5, 2.0]))
+    def test_soft_gaussian_matches_brute_force(self, dets, sigma):
+        got = soft_nms(dets, 0.5, sigma=sigma, mode="gaussian")
+        want = brute_force_soft(dets, 0.5, sigma, "gaussian")
+        # np.exp and math.exp may differ in the last bit
+        assert [(d.box, d.class_id) for d in got] == [(d.box, d.class_id) for d in want]
+        assert np.allclose([d.score for d in got], [d.score for d in want],
+                           rtol=1e-12, atol=0.0)
