@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: optimize-anchors, eval, augment, bench-nms, schedule. Every
+Subcommands: optimize-anchors, eval, augment, schedule. Every
 run is fully determined by its flags and the --seed value; machine-readable
 output is available behind --json where it makes sense.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ from detbag import evalap, ingest, nms, trainsched
 from detbag.decode import DEFAULT_ASSIGN_IOU_THRESHOLD, Anchor
 from detbag.evolve import (GAConfig, HyperEntry, HyperVector, anchor_recall,
                            evolve, kmeans_anchors)
-from detbag.geometry import Box
 
 
 def cmd_optimize_anchors(args) -> int:
@@ -206,44 +204,6 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _random_detections(n: int, classes: int, rng) -> list[nms.Detection]:
-    dets = []
-    for _ in range(n):
-        cx, cy = rng.uniform(0, 1000, 2)
-        w, h = rng.uniform(20, 120, 2)
-        dets.append(nms.Detection(
-            Box(cx, cy, cx + w, cy + h),
-            float(rng.uniform(0.0, 1.0)),
-            int(rng.integers(0, classes))))
-    return dets
-
-
-def cmd_bench_nms(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1: {args.n}")
-    rng = np.random.default_rng(args.seed)
-    dets = _random_detections(args.n, args.classes, rng)
-    variants = (("greedy", lambda: nms.greedy_nms(dets, args.iou_threshold)),
-                ("soft", lambda: nms.soft_nms(dets, args.iou_threshold,
-                                              sigma=args.sigma)),
-                ("diou", lambda: nms.diou_nms(dets, args.diou_threshold)))
-    rows = []
-    for name, run in variants:
-        if args.variant not in ("all", name):
-            continue
-        t0 = time.perf_counter()
-        survivors = run()
-        rows.append((name, len(survivors), time.perf_counter() - t0))
-    if args.json:
-        print(json.dumps([{"variant": n, "survivors": s, "seconds": e}
-                          for n, s, e in rows], indent=1))
-    else:
-        print(f"{'variant':<8} {'survivors':>9} {'seconds':>10}")
-        for name, survivors, elapsed in rows:
-            print(f"{name:<8} {survivors:>9} {elapsed:>10.4f}")
-    return 0
-
-
 def cmd_schedule(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1: {args.steps}")
@@ -313,18 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--saturation", type=float, default=0.3)
     p.add_argument("--noise-sigma", type=float, default=0.02)
     p.set_defaults(func=cmd_augment)
-
-    p = sub.add_parser("bench-nms", help="time NMS variants on random boxes")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--variant", choices=("all", "greedy", "soft", "diou"),
-                   default="all")
-    p.add_argument("--iou-threshold", type=float, default=0.5)
-    p.add_argument("--diou-threshold", type=float, default=0.45)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench_nms)
 
     p = sub.add_parser("schedule", help="emit a learning-rate schedule CSV")
     p.add_argument("--kind", choices=("cosine", "step"), required=True)

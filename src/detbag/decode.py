@@ -81,7 +81,8 @@ def sigmoid(x: float) -> float:
 
 
 def decode(p: RawPrediction, cfg: DecodeConfig) -> Decoded:
-    """Decode raw head outputs into a pixel-space box plus probabilities."""
+    """Decode raw head outputs into a pixel-space box plus probabilities.
+    Raises ValueError naming `p` when its box overflows or is NaN."""
     c_x, c_y = p.cell
     if not (0 <= c_x < cfg.grid_w and 0 <= c_y < cfg.grid_h):
         raise ValueError(f"cell {p.cell} outside {cfg.grid_w}x{cfg.grid_h} grid")
@@ -90,10 +91,13 @@ def decode(p: RawPrediction, cfg: DecodeConfig) -> Decoded:
     half_expand = (s - 1.0) / 2.0
     b_x = (s * sigmoid(p.t_x) - half_expand + c_x) * cfg.stride
     b_y = (s * sigmoid(p.t_y) - half_expand + c_y) * cfg.stride
-    b_w = anchor.w * math.exp(p.t_w)
-    b_h = anchor.h * math.exp(p.t_h)
+    try:
+        box = CenterBox(b_x, b_y, anchor.w * math.exp(p.t_w),
+                        anchor.h * math.exp(p.t_h))
+    except (OverflowError, ValueError):
+        raise ValueError(f"prediction decodes to a non-finite box: {p}") from None
     probs = np.array([sigmoid(c) for c in p.class_scores])
-    return Decoded(CenterBox(b_x, b_y, b_w, b_h), sigmoid(p.objectness), probs)
+    return Decoded(box, sigmoid(p.objectness), probs)
 
 
 def shape_iou(w_a: float, h_a: float, w_b: float, h_b: float) -> float:

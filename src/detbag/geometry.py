@@ -25,8 +25,10 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ValueError(f"degenerate box: {self}")
+        # chained comparisons are False for NaN, so this also rejects it
+        if not (-math.inf < self.x_min <= self.x_max < math.inf
+                and -math.inf < self.y_min <= self.y_max < math.inf):
+            raise ValueError(f"degenerate or non-finite box: {self}")
 
     @property
     def width(self) -> float:
@@ -59,8 +61,9 @@ class CenterBox:
     h: float
 
     def __post_init__(self):
-        if self.w < 0 or self.h < 0:
-            raise ValueError(f"negative box size: {self}")
+        if not (-math.inf < self.x_c < math.inf and -math.inf < self.y_c < math.inf
+                and 0 <= self.w < math.inf and 0 <= self.h < math.inf):
+            raise ValueError(f"negative box size or non-finite box: {self}")
 
     @property
     def area(self) -> float:
@@ -75,19 +78,20 @@ class CenterBox:
         )
 
 
+def _inter_union(a: Box, b: Box) -> tuple[float, float]:
+    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    inter = iw * ih if (iw > 0.0 and ih > 0.0) else 0.0
+    return inter, a.area + b.area - inter
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes, in [0, 1].
 
     Returns 0 when the union has zero area (two degenerate boxes), so the
     value is always well defined.
     """
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        inter = 0.0
-    else:
-        inter = iw * ih
-    union = a.area + b.area - inter
+    inter, union = _inter_union(a, b)
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -106,10 +110,8 @@ def giou(a: Box, b: Box) -> float:
     c = ew * eh
     if c <= 0.0:
         return iou(a, b)
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    inter = iw * ih if (iw > 0.0 and ih > 0.0) else 0.0
-    union = a.area + b.area - inter
+    # parallel zero-width boxes have c > 0 but union == 0
+    inter, union = _inter_union(a, b)
     i = inter / union if union > 0.0 else 0.0
     return i - (c - union) / c
 

@@ -117,7 +117,8 @@ def load_annotations(path) -> DatasetIndex:
     """Parse a COCO-subset annotation file and verify referential integrity.
 
     Raises ValueError naming the offending record on malformed structure,
-    duplicate, fractional or dangling ids, or negative sizes.
+    duplicate, fractional or dangling ids, negative sizes, or a bbox that is
+    NaN or infinite (Python's `json` reads NaN and Infinity).
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -175,6 +176,11 @@ def parse_annotations(data: dict) -> DatasetIndex:
                 f"annotation {ann.id} references missing category {ann.category_id}")
         if ann.bbox[2] < 0 or ann.bbox[3] < 0:
             raise ValueError(f"annotation {ann.id} has negative bbox size: {ann.bbox}")
+        try:
+            ann.to_box()
+        except ValueError:
+            raise ValueError(
+                f"annotation {ann.id} has a non-finite bbox: {ann.bbox}") from None
         annotations.append(ann)
     return DatasetIndex(tuple(images), tuple(annotations), tuple(categories))
 

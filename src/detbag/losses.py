@@ -42,15 +42,14 @@ def box_loss(pred: CenterBox, truth: CenterBox,
     for CIOU the aspect-penalty weight alpha is treated as a constant, so
     the gradient does not flow through it.
 
-    Raises ValueError on non-finite inputs, and for IoU-family variants when
-    the predicted box has zero width or height (the caller must clamp).
+    Raises ValueError when the truth has zero width or height, and for
+    IoU-family variants when the prediction does (the caller must clamp).
+    `CenterBox` itself rejects non-finite coordinates.
     """
     if isinstance(variant, str):
         variant = LossVariant(variant.lower())
     p = np.array([pred.x_c, pred.y_c, pred.w, pred.h], dtype=float)
     t = np.array([truth.x_c, truth.y_c, truth.w, truth.h], dtype=float)
-    if not (np.isfinite(p).all() and np.isfinite(t).all()):
-        raise ValueError("non-finite box coordinates")
     if truth.w <= 0 or truth.h <= 0:
         raise ValueError(f"ground-truth box must have positive size: {truth}")
 
@@ -63,6 +62,15 @@ def box_loss(pred: CenterBox, truth: CenterBox,
             f"{variant.value} loss needs a predicted box with positive size: {pred}")
     metric, grad = _metric_with_grad(p, t, variant)
     return BoxLossResult(1.0 - metric, -grad)
+
+
+def _binding(hi, lo) -> tuple[float, float]:
+    """(d/d center, d/d size) of a side length whose upper end is the
+    predicted x2 = x + w/2 when `hi` and whose lower end is the predicted
+    x1 = x - w/2 when `lo`; a tie binds the truth's corner. The flags are
+    np.bool_, whose `+` is a logical or, so they become floats first."""
+    hi, lo = float(hi), float(lo)
+    return hi - lo, 0.5 * (hi + lo)
 
 
 def _metric_with_grad(p: np.ndarray, t: np.ndarray,
@@ -85,20 +93,8 @@ def _metric_with_grad(p: np.ndarray, t: np.ndarray,
     ix1, ix2 = max(px1, tx1), min(px2, tx2)
     iy1, iy2 = max(py1, ty1), min(py2, ty2)
     iw, ih = ix2 - ix1, iy2 - iy1
-    diw_x, diw_w = 0.0, 0.0
-    if px2 < tx2:
-        diw_x += 1.0
-        diw_w += 0.5
-    if px1 > tx1:
-        diw_x -= 1.0
-        diw_w += 0.5
-    dih_y, dih_h = 0.0, 0.0
-    if py2 < ty2:
-        dih_y += 1.0
-        dih_h += 0.5
-    if py1 > ty1:
-        dih_y -= 1.0
-        dih_h += 0.5
+    diw_x, diw_w = _binding(px2 < tx2, px1 > tx1)
+    dih_y, dih_h = _binding(py2 < ty2, py1 > ty1)
     if iw > 0.0 and ih > 0.0:
         inter = iw * ih
         d_inter = np.array([ih * diw_x, iw * dih_y, ih * diw_w, iw * dih_h])
@@ -117,20 +113,8 @@ def _metric_with_grad(p: np.ndarray, t: np.ndarray,
     ex1, ex2 = min(px1, tx1), max(px2, tx2)
     ey1, ey2 = min(py1, ty1), max(py2, ty2)
     ew, eh = ex2 - ex1, ey2 - ey1
-    dew_x, dew_w = 0.0, 0.0
-    if px2 > tx2:
-        dew_x += 1.0
-        dew_w += 0.5
-    if px1 < tx1:
-        dew_x -= 1.0
-        dew_w += 0.5
-    deh_y, deh_h = 0.0, 0.0
-    if py2 > ty2:
-        deh_y += 1.0
-        deh_h += 0.5
-    if py1 < ty1:
-        deh_y -= 1.0
-        deh_h += 0.5
+    dew_x, dew_w = _binding(px2 > tx2, px1 < tx1)
+    deh_y, deh_h = _binding(py2 > ty2, py1 < ty1)
 
     if variant is LossVariant.GIOU:
         c = ew * eh

@@ -68,8 +68,10 @@ class CmBNAccumulator:
     """Accumulates normalization statistics across the mini-batches of one
     logical batch, resetting exactly at batch boundaries.
 
-    Raw moments (sum x, sum x^2, n) are kept per channel, so the statistics
-    returned at the final mini-batch telescope to exact whole-batch values.
+    Per channel it keeps the count, mean and sum of squared deviations M2,
+    and folds each mini-batch in with the pairwise merge of Chan, Golub &
+    LeVeque. Raw moments (sum x^2 / n - mean^2) cancel catastrophically when
+    the mean is large against the spread; the merge does not.
     """
 
     def __init__(self, minibatches_per_batch: int):
@@ -77,16 +79,13 @@ class CmBNAccumulator:
             raise ValueError(
                 f"minibatches_per_batch must be >= 1: {minibatches_per_batch}")
         self.minibatches_per_batch = minibatches_per_batch
-        self._sum: np.ndarray | None = None
-        self._sumsq: np.ndarray | None = None
-        self._n = 0
-        self._position = 0  # mini-batches seen in the current batch
+        self.reset()
 
     def reset(self):
-        self._sum = None
-        self._sumsq = None
+        self._mean: np.ndarray | None = None
+        self._m2: np.ndarray | None = None
         self._n = 0
-        self._position = 0
+        self._position = 0  # mini-batches seen in the current batch
 
     def update(self, minibatch: np.ndarray) -> BatchStats:
         """Fold one mini-batch in and return the statistics to normalize
@@ -99,20 +98,25 @@ class CmBNAccumulator:
             x = x[:, None]
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError(f"minibatch must be nonempty (n,) or (n, C): {x.shape}")
-        if self._sum is None:
-            self._sum = np.zeros(x.shape[1])
-            self._sumsq = np.zeros(x.shape[1])
-        elif x.shape[1] != self._sum.shape[0]:
+        if self._mean is None:
+            self._mean = np.zeros(x.shape[1])
+            self._m2 = np.zeros(x.shape[1])
+        elif x.shape[1] != self._mean.shape[0]:
             raise ValueError(
-                f"channel count changed mid-batch: {x.shape[1]} vs {self._sum.shape[0]}")
-        self._sum += x.sum(axis=0)
-        self._sumsq += (x * x).sum(axis=0)
-        self._n += x.shape[0]
+                f"channel count changed mid-batch: {x.shape[1]} vs {self._mean.shape[0]}")
+        n_b = x.shape[0]
+        mean_b = x.mean(axis=0)
+        dev = x - mean_b
+        n_a, self._n = self._n, self._n + n_b
+        delta = mean_b - self._mean
+        # on the first mini-batch n_b / n == 1.0 and n_a == 0: exactly mean_b
+        self._mean = self._mean + delta * (n_b / self._n)
+        self._m2 = (self._m2 + (dev * dev).sum(axis=0)
+                    + delta * delta * (n_a * n_b / self._n))
         self._position += 1
 
-        mean = self._sum / self._n
-        var = np.maximum(self._sumsq / self._n - mean * mean, 0.0)
-        stats = BatchStats(mean=mean, var=var, count=self._n)
+        stats = BatchStats(mean=self._mean.copy(), var=self._m2 / self._n,
+                           count=self._n)
         if self._position >= self.minibatches_per_batch:
             self.reset()
         return stats

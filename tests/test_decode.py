@@ -60,6 +60,15 @@ class TestDecode:
         assert out.box.w == pytest.approx(20.0)
         assert out.box.h == pytest.approx(20.0)
 
+    # exp(1000) overflows math.exp; 10 * exp(709) overflows the product
+    @pytest.mark.parametrize("t", [1000.0, 709.0])
+    @pytest.mark.parametrize("side", ["t_w", "t_h"])
+    def test_size_overflow_raises_naming_prediction(self, side, t):
+        p = pred(**{side: t})
+        with pytest.raises(ValueError, match="non-finite box") as exc:
+            decode(p, make_cfg())
+        assert repr(p) in str(exc.value)
+
     def test_monotone_in_logits(self):
         cfg = make_cfg(s=1.1)
         ts = np.linspace(-6, 6, 41)

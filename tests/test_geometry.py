@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detbag.geometry import (Box, CenterBox, box_diou, box_iou, ciou, corners,
                              diou, giou, iou)
@@ -70,6 +72,16 @@ class TestConvert:
             Box(1, 0, 0, 1)
         with pytest.raises(ValueError):
             CenterBox(0, 0, -1, 1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_rejected(self, value, field):
+        coords = [0.0, 0.0, 1.0, 1.0]
+        coords[field] = value
+        with pytest.raises(ValueError, match="degenerate"):
+            Box(*coords)
+        with pytest.raises(ValueError, match="non-finite"):
+            CenterBox(*coords)
 
 
 class TestIou:
@@ -212,3 +224,46 @@ class TestArrayKernels:
         assert corners([]).shape == (0, 4)
         assert box_iou(corners([])[:, None], some[None, :]).shape == (0, 2)
         assert box_diou(some[:, None], corners([])[None, :]).shape == (2, 0)
+
+
+def _kernel_scalar(kernel):
+    return lambda a, b: kernel(corners([a])[0], corners([b])[0])
+
+
+# small integer corners keep every sum, product and halving exact, so the
+# properties below hold with ==, not within a tolerance
+int_boxes = st.builds(
+    lambda x, y, w, h: Box(float(x), float(y), float(x + w), float(y + h)),
+    st.integers(-16, 16), st.integers(-16, 16),
+    st.integers(0, 16), st.integers(0, 16))
+EXACT_METRICS = pytest.mark.parametrize(
+    "metric", METRICS + tuple(_kernel_scalar(k) for k, _, _ in KERNELS),
+    ids=[m.__name__ for m in METRICS] + [k.__name__ for k, _, _ in KERNELS])
+
+
+class TestExactProperties:
+    @EXACT_METRICS
+    @settings(deadline=None)
+    @given(a=int_boxes, b=int_boxes)
+    def test_symmetric(self, metric, a, b):
+        assert metric(a, b) == metric(b, a)
+
+    @EXACT_METRICS
+    @settings(deadline=None)
+    @given(a=int_boxes, b=int_boxes, dx=st.integers(-1000, 1000),
+           dy=st.integers(-1000, 1000))
+    def test_integer_translation_invariant(self, metric, a, b, dx, dy):
+        def shift(box):
+            return Box(box.x_min + dx, box.y_min + dy,
+                       box.x_max + dx, box.y_max + dy)
+        assert metric(shift(a), shift(b)) == metric(a, b)
+
+    @EXACT_METRICS
+    @settings(deadline=None)
+    @given(a=int_boxes, b=int_boxes, k=st.integers(-20, 20))
+    def test_power_of_two_scale_invariant(self, metric, a, b, k):
+        s = 2.0 ** k
+
+        def scale(box):
+            return Box(box.x_min * s, box.y_min * s, box.x_max * s, box.y_max * s)
+        assert metric(scale(a), scale(b)) == metric(a, b)

@@ -47,6 +47,14 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="annotation 5"):
             parse_annotations(data)
 
+    @pytest.mark.parametrize("bbox", [[float("nan"), 0, 3, 5], [0, 0, float("inf"), 5],
+                                      [0, float("-inf"), 3, 5], [0, 0, 3, float("nan")]])
+    def test_non_finite_bbox_names_annotation(self, bbox):
+        data = minimal_dataset()
+        data["annotations"][0]["bbox"] = bbox
+        with pytest.raises(ValueError, match="annotation 5 has a non-finite bbox"):
+            parse_annotations(data)
+
     def test_missing_top_level_array(self):
         with pytest.raises(ValueError, match="categories"):
             parse_annotations({"images": [], "annotations": []})

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detbag.cli import _random_detections
 from detbag.geometry import Box, diou, iou
 from detbag.nms import Detection, diou_nms, greedy_nms, soft_nms
 
@@ -60,10 +59,24 @@ def random_detections(rng, n, classes=4):
     return dets
 
 
+def _random_detections(n: int, classes: int, rng) -> list[Detection]:
+    dets = []
+    for _ in range(n):
+        cx, cy = rng.uniform(0, 1000, 2)
+        w, h = rng.uniform(20, 120, 2)
+        dets.append(Detection(
+            Box(cx, cy, cx + w, cy + h),
+            float(rng.uniform(0.0, 1.0)),
+            int(rng.integers(0, classes))))
+    return dets
+
+
 class TestGreedy:
-    def test_single_detection(self):
+    @pytest.mark.parametrize("suppress", [greedy_nms, soft_nms, diou_nms],
+                             ids=["greedy", "soft", "diou"])
+    def test_single_detection(self, suppress):
         d = Detection(Box(0, 0, 1, 1), 0.7, 0)
-        assert greedy_nms([d], 0.5) == [d]
+        assert suppress([d], 0.5) == [d]
 
     def test_empty(self):
         assert greedy_nms([], 0.5) == []
@@ -91,7 +104,7 @@ class TestGreedy:
         assert greedy_nms(dets, threshold) == brute_force_greedy(dets, threshold)
 
     def test_matches_brute_force_on_bench_nms_set(self):
-        # the set `detbag bench-nms --n 2000` times, at its default threshold
+        # 2000 boxes of 20-120 px over a 1000 px field in 5 classes
         dets = _random_detections(2000, 5, np.random.default_rng(0))
         assert greedy_nms(dets, 0.5) == brute_force_greedy(dets, 0.5)
 

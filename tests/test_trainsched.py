@@ -98,6 +98,24 @@ class TestCmBN:
             assert np.abs(stats.mean - batch.mean(axis=0)).max() < 1e-10
             assert np.abs(stats.var - batch.var(axis=0)).max() < 1e-10
 
+    def test_large_offset_keeps_variance(self):
+        # sum x^2 / n - mean^2 loses every digit of a unit variance at 1e8
+        rng = np.random.default_rng(211)
+        batch = rng.normal(loc=1e8, scale=1.0, size=(4 * 1024, 3))
+        acc = CmBNAccumulator(4)
+        for i in range(4):
+            stats = acc.update(batch[i * 1024:(i + 1) * 1024])
+        assert np.abs(stats.var - batch.var(axis=0)).max() < 1e-7
+        assert np.abs(stats.mean - batch.mean(axis=0)).max() < 1e-5
+
+    def test_returned_stats_do_not_alias_state(self):
+        acc = CmBNAccumulator(2)
+        first = acc.update(np.array([1.0, 3.0]))
+        first.mean[:] = 100.0
+        first.var[:] = 100.0
+        stats = acc.update(np.array([5.0, 7.0]))
+        assert stats.mean[0] == 4.0 and stats.var[0] == 5.0
+
     def test_resets_exactly_at_batch_boundary(self):
         acc = CmBNAccumulator(2)
         acc.update(np.array([10.0, 10.0]))
