@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,9 +39,9 @@ def cmd_optimize_anchors(args) -> int:
     result = kmeans_anchors(shapes, args.k, iters=args.iters, rng=rng)
     anchors = result.anchors
     recall, mean_iou = anchor_recall(shapes, anchors, args.threshold)
-
+    history = None
     if args.evolve:
-        anchors, recall, mean_iou = _evolve_anchors(
+        anchors, recall, mean_iou, history = _evolve_anchors(
             shapes, anchors, args, (recall, mean_iou))
 
     payload = {
@@ -48,7 +49,13 @@ def cmd_optimize_anchors(args) -> int:
         "recall": recall,
         "recall_threshold": args.threshold,
         "mean_best_iou": mean_iou,
+        "kmeans_distance_per_iteration": result.distance_per_iteration,
     }
+    if history is not None:
+        # a generation without a valid candidate has a NaN mean: JSON null
+        payload["ga_history"] = [
+            [h.generation, h.best, None if math.isnan(h.mean) else h.mean]
+            for h in history]
     if args.json:
         print(json.dumps(payload, indent=1))
     else:
@@ -77,14 +84,14 @@ def _evolve_anchors(shapes, seed_anchors, args, seed_scores):
 
     cfg = GAConfig(population=args.evolve_population,
                    generations=args.evolve_generations, seed=args.seed)
-    best, _history = evolve(seed_vec, fitness, cfg)
+    best, history = evolve(seed_vec, fitness, cfg)
     anchors = sorted((Anchor(best[f"w{i}"], best[f"h{i}"]) for i in range(k)),
                      key=lambda a: a.w * a.h)
     recall, mean_iou = anchor_recall(shapes, anchors, args.threshold)
     # best-so-far evolution can never lose to its own seed
     if (recall, mean_iou) < seed_scores:
         anchors, (recall, mean_iou) = list(seed_anchors), seed_scores
-    return anchors, recall, mean_iou
+    return anchors, recall, mean_iou, history
 
 
 def _apply_nms(dets_by_image, args):

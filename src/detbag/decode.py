@@ -73,31 +73,37 @@ class Decoded:
 
 
 def sigmoid(x: float) -> float:
+    """Logistic function; raises ValueError on NaN."""
     # branch keeps exp() in the underflow-safe direction
+    if x < 0.0:
+        e = math.exp(x)
+        return e / (1.0 + e)
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    raise ValueError(f"sigmoid of NaN: {x}")
 
 
 def decode(p: RawPrediction, cfg: DecodeConfig) -> Decoded:
     """Decode raw head outputs into a pixel-space box plus probabilities.
-    Raises ValueError naming `p` when its box overflows or is NaN."""
+    Raises ValueError naming `p` when its box overflows or any of its
+    logits is NaN."""
     c_x, c_y = p.cell
     if not (0 <= c_x < cfg.grid_w and 0 <= c_y < cfg.grid_h):
         raise ValueError(f"cell {p.cell} outside {cfg.grid_w}x{cfg.grid_h} grid")
     anchor = cfg.anchors[p.anchor_index]
     s = cfg.sensitivity_scale
     half_expand = (s - 1.0) / 2.0
-    b_x = (s * sigmoid(p.t_x) - half_expand + c_x) * cfg.stride
-    b_y = (s * sigmoid(p.t_y) - half_expand + c_y) * cfg.stride
     try:
+        b_x = (s * sigmoid(p.t_x) - half_expand + c_x) * cfg.stride
+        b_y = (s * sigmoid(p.t_y) - half_expand + c_y) * cfg.stride
         box = CenterBox(b_x, b_y, anchor.w * math.exp(p.t_w),
                         anchor.h * math.exp(p.t_h))
+        probs = np.array([sigmoid(c) for c in p.class_scores])
+        objectness = sigmoid(p.objectness)
     except (OverflowError, ValueError):
-        raise ValueError(f"prediction decodes to a non-finite box: {p}") from None
-    probs = np.array([sigmoid(c) for c in p.class_scores])
-    return Decoded(box, sigmoid(p.objectness), probs)
+        raise ValueError(f"prediction decodes to a non-finite box "
+                         f"or probability: {p}") from None
+    return Decoded(box, objectness, probs)
 
 
 def shape_iou(w_a: float, h_a: float, w_b: float, h_b: float) -> float:
@@ -121,12 +127,17 @@ def assign_anchors(truth: CenterBox, cfg: DecodeConfig,
     center) exceeds the threshold is assigned, paired with the grid cell
     containing the truth center. If no anchor clears the threshold the
     single best one is returned, so every ground truth stays trainable.
+    A center on the grid's far edge belongs to the last cell; a center
+    outside [0, grid * stride] raises ValueError naming the truth.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"iou_threshold outside (0, 1): {iou_threshold}")
-    c_x = min(int(truth.x_c / cfg.stride), cfg.grid_w - 1)
-    c_y = min(int(truth.y_c / cfg.stride), cfg.grid_h - 1)
-    cell = (max(c_x, 0), max(c_y, 0))
+    if not (0.0 <= truth.x_c <= cfg.grid_w * cfg.stride
+            and 0.0 <= truth.y_c <= cfg.grid_h * cfg.stride):
+        raise ValueError(f"truth center outside the {cfg.grid_w}x{cfg.grid_h} "
+                         f"grid of stride {cfg.stride}: {truth}")
+    cell = (min(int(truth.x_c / cfg.stride), cfg.grid_w - 1),
+            min(int(truth.y_c / cfg.stride), cfg.grid_h - 1))
     ious = [shape_iou(truth.w, truth.h, a.w, a.h) for a in cfg.anchors]
     chosen = [i for i, v in enumerate(ious) if v > iou_threshold]
     if not chosen:

@@ -9,14 +9,13 @@ with median centroid updates.
 
 from __future__ import annotations
 
-import csv
+import heapq
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from detbag.decode import Anchor
-from detbag.geometry import box_iou
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +61,7 @@ class HyperVector:
         """New vector with updated values, clamped to each entry's bounds."""
         out = {}
         for k, e in self.entries.items():
-            v = float(np.clip(values.get(k, e.value), e.low, e.high))
+            v = float(min(max(values.get(k, e.value), e.low), e.high))
             out[k] = HyperEntry(v, e.low, e.high, e.mutate_scale)
         return HyperVector(out)
 
@@ -111,7 +110,7 @@ def _mutate(vec: HyperVector, rng: np.random.Generator, prob: float) -> HyperVec
 
 def _sample_parent(pool: list[tuple[float, HyperVector]], k: int,
                    rng: np.random.Generator) -> HyperVector:
-    ranked = sorted(range(len(pool)), key=lambda i: (-pool[i][0], i))[:k]
+    ranked = heapq.nsmallest(k, range(len(pool)), key=lambda i: (-pool[i][0], i))
     fits = np.array([pool[i][0] for i in ranked])
     weights = fits - fits.min() + 1e-12
     weights /= weights.sum()
@@ -154,27 +153,56 @@ def evolve(seed: HyperVector, fitness, cfg: GAConfig = GAConfig(),
     return best_vec, history
 
 
-def export_history_csv(history: list[GenerationStats], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best", "mean"])
-        for row in history:
-            writer.writerow([row.generation, repr(row.best), repr(row.mean)])
+def _shape_columns(shapes, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous w and h columns of an (n, 2) array of box shapes."""
+    arr = np.asarray(shapes, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
+        raise ValueError(f"{name} must be a non-empty (n, 2) array of (w, h), "
+                         f"got shape {arr.shape}")
+    if not arr.min() >= 0.0:  # also False for NaN
+        raise ValueError(f"{name} must have non-negative sides")
+    w, h = np.ascontiguousarray(arr.T)
+    return w, h
 
 
-def wh_iou_matrix(shapes_a: np.ndarray, shapes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of (w, h) shapes as if concentric. (n,2)x(m,2) -> (n,m)."""
-    a = np.hstack([-shapes_a / 2.0, shapes_a / 2.0])
-    b = np.hstack([-shapes_b / 2.0, shapes_b / 2.0])
-    return box_iou(a[:, None], b[None, :])
+def _shape_iou(w: np.ndarray, h: np.ndarray, aw: float, ah: float) -> np.ndarray:
+    """`decode.shape_iou` of n shapes (w, h) against one shape (aw, ah).
+
+    Each ufunc runs over one contiguous row of n values, so the temporaries
+    stay in cache. Equals `shape_iou` exactly, including 0 for an empty
+    union, and so the corner-form `box_iou` of the concentric boxes for any
+    sides that halve exactly (all but subnormal floats).
+    """
+    inter = np.minimum(w, aw)
+    inter *= np.minimum(h, ah)
+    union = w * h
+    union += aw * ah
+    union -= inter
+    out = np.zeros(len(w))
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
+def wh_iou_matrix(shapes_a, shapes_b) -> np.ndarray:
+    """Pairwise IoU of (w, h) shapes as if concentric. (n,2)x(m,2) -> (n,m).
+    Inputs are checked like `anchor_recall`'s shapes."""
+    w, h = _shape_columns(shapes_a, "shapes_a")
+    bw, bh = _shape_columns(shapes_b, "shapes_b")
+    return np.stack([_shape_iou(w, h, aw, ah) for aw, ah in zip(bw, bh)], axis=1)
 
 
 def anchor_recall(shapes, anchors: list[Anchor],
                   threshold: float) -> tuple[float, float]:
     """(recall at the assignment threshold, mean best IoU) of box shapes
-    against a set of anchors; the desk-scale fitness behind --evolve."""
-    arr = np.array([[a.w, a.h] for a in anchors], dtype=float)
-    best = wh_iou_matrix(np.asarray(shapes, dtype=float), arr).max(axis=1)
+    against a set of anchors; the desk-scale fitness behind --evolve.
+    Raises ValueError on no anchors and on shapes that are empty, not
+    (n, 2), or have a negative or NaN side."""
+    if len(anchors) == 0:
+        raise ValueError("anchors must not be empty")
+    w, h = _shape_columns(shapes, "shapes")
+    best = _shape_iou(w, h, float(anchors[0].w), float(anchors[0].h))
+    for a in anchors[1:]:
+        np.maximum(best, _shape_iou(w, h, float(a.w), float(a.h)), out=best)
     return float((best > threshold).mean()), float(best.mean())
 
 

@@ -119,17 +119,22 @@ def giou(a: Box, b: Box) -> float:
 def diou(a: Box, b: Box) -> float:
     """Distance IoU: IoU minus squared center distance over squared
     enclosing-box diagonal."""
+    return _diou(a, b, iou(a, b))
+
+
+def _diou(a: Box, b: Box, i: float) -> float:
+    """`diou` given i = iou(a, b)."""
     ew, eh = _enclosing_sides(a, b)
     c2 = ew * ew + eh * eh
     if c2 <= 0.0:
-        return iou(a, b)
+        return i
     ax = (a.x_min + a.x_max) / 2.0
     ay = (a.y_min + a.y_max) / 2.0
     bx = (b.x_min + b.x_max) / 2.0
     by = (b.y_min + b.y_max) / 2.0
     dx, dy = ax - bx, ay - by
     rho2 = dx * dx + dy * dy
-    return iou(a, b) - rho2 / c2
+    return i - rho2 / c2
 
 
 def ciou(a: Box, b: Box) -> float:
@@ -139,7 +144,8 @@ def ciou(a: Box, b: Box) -> float:
     differentiated by the loss layer. For a box with zero width or height
     the aspect term v is defined as 0.
     """
-    d = diou(a, b)
+    i = iou(a, b)
+    d = _diou(a, b, i)
     aw, ah = a.width, a.height
     bw, bh = b.width, b.height
     if aw <= 0.0 or ah <= 0.0 or bw <= 0.0 or bh <= 0.0:
@@ -148,7 +154,7 @@ def ciou(a: Box, b: Box) -> float:
     v = 4.0 / math.pi**2 * delta * delta
     if v == 0.0:
         return d
-    alpha = v / (1.0 - iou(a, b) + v)
+    alpha = v / (1.0 - i + v)
     return d - alpha * v
 
 

@@ -2,6 +2,8 @@ import colorsys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detbag.augment import (Sample, _resize_nearest, blur, cutmix, cutmix_rect,
                             geometric, mixup, mosaic, photometric)
@@ -241,6 +243,59 @@ class TestGeometric:
     def test_unknown_op(self):
         with pytest.raises(ValueError):
             geometric(Sample(solid(4, 4, 0.0)), "rotate")
+
+
+@st.composite
+def samples(draw):
+    """A small valid Sample: 1-12 px sides, 0-4 labels inside the image."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    labels, weights = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        x1, x2 = sorted(draw(st.floats(0.0, float(w))) for _ in range(2))
+        y1, y2 = sorted(draw(st.floats(0.0, float(h))) for _ in range(2))
+        labels.append((Box(x1, y1, x2, y2), draw(st.integers(0, 3))))
+        weights.append(draw(st.floats(0.01, 1.0)))
+    return Sample(np.full((h, w, 3), 0.5), labels, weights)
+
+
+def assert_labels_inside_canvas(out):
+    assert len(out.weights) == len(out.labels)
+    for box, _ in out.labels:
+        assert 0.0 <= box.x_min <= box.x_max <= out.width
+        assert 0.0 <= box.y_min <= box.y_max <= out.height
+
+
+class TestLabelsStayOnCanvas:
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(samples(), min_size=4, max_size=4),
+           st.integers(2, 40), st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_mosaic(self, four, out_w, out_h, seed):
+        out = mosaic(four, out_w, out_h, np.random.default_rng(seed))
+        assert (out.width, out.height) == (out_w, out_h)
+        assert_labels_inside_canvas(out)
+
+    @settings(deadline=None, max_examples=150)
+    @given(samples())
+    def test_hflip(self, s):
+        out = geometric(s, "hflip")
+        assert len(out.labels) == len(s.labels)
+        assert_labels_inside_canvas(out)
+
+    @settings(deadline=None, max_examples=150)
+    @given(samples(), st.floats(0.01, 4.0))
+    def test_scale(self, s, k):
+        assert_labels_inside_canvas(geometric(s, "scale", k=k))
+
+    @settings(deadline=None, max_examples=150)
+    @given(samples(), st.data())
+    def test_crop(self, s, data):
+        x1 = data.draw(st.integers(0, s.width - 1))
+        x2 = data.draw(st.integers(x1 + 1, s.width))
+        y1 = data.draw(st.integers(0, s.height - 1))
+        y2 = data.draw(st.integers(y1 + 1, s.height))
+        out = geometric(s, "crop", region=(x1, y1, x2, y2))
+        assert (out.width, out.height) == (x2 - x1, y2 - y1)
+        assert_labels_inside_canvas(out)
 
 
 class TestBlur:

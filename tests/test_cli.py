@@ -1,9 +1,13 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import write_dataset, write_detections
+from detbag import cli
+from detbag import evolve as evolve_module
 from detbag.cli import main
 from detbag.ingest import load_annotations
 
@@ -62,6 +66,52 @@ class TestOptimizeAnchors:
         _, out_ga, _ = run(capsys, "optimize-anchors", str(ann), "--k", "3",
                            "--evolve", "--evolve-generations", "10", "--json")
         assert json.loads(out_ga)["recall"] >= json.loads(out_plain)["recall"]
+
+    def test_json_reports_kmeans_and_ga_histories(self, tmp_path, capsys):
+        rng = np.random.default_rng(239)
+        boxes = [[5, 5, float(rng.uniform(4, 120)), float(rng.uniform(4, 120))]
+                 for _ in range(80)]
+        ann = write_dataset(tmp_path, [boxes], image_size=(512, 512))
+        _, out, _ = run(capsys, "optimize-anchors", str(ann), "--k", "3", "--json")
+        plain = json.loads(out)
+        distances = plain["kmeans_distance_per_iteration"]
+        assert len(distances) >= 1
+        assert distances == sorted(distances, reverse=True)
+        assert "ga_history" not in plain
+
+        _, out, _ = run(capsys, "optimize-anchors", str(ann), "--k", "3",
+                        "--evolve", "--evolve-generations", "6", "--json")
+        ga = json.loads(out)
+        assert ga["kmeans_distance_per_iteration"] == distances
+        history = ga["ga_history"]
+        assert [row[0] for row in history] == list(range(7))
+        bests = [row[1] for row in history]
+        assert bests == sorted(bests)
+        assert all(isinstance(row[2], float) for row in history)
+
+    def test_ga_generation_without_valid_candidate_has_null_mean(
+            self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(241)
+        boxes = [[5, 5, float(rng.uniform(4, 120)), float(rng.uniform(4, 120))]
+                 for _ in range(40)]
+        ann = write_dataset(tmp_path, [boxes], image_size=(512, 512))
+        calls = itertools.count()
+
+        def first_generation_fails(shapes, anchors, threshold):
+            # call 0 scores the k-means anchors, call 1 the GA's seed vector,
+            # calls 2 and 3 the two children of generation 1
+            if next(calls) in (2, 3):
+                return math.nan, math.nan
+            return evolve_module.anchor_recall(shapes, anchors, threshold)
+
+        monkeypatch.setattr(cli, "anchor_recall", first_generation_fails)
+        code, out, err = run(capsys, "optimize-anchors", str(ann), "--k", "2",
+                             "--evolve", "--evolve-generations", "2",
+                             "--evolve-population", "2", "--json")
+        assert code == 0, err
+        history = json.loads(out)["ga_history"]
+        assert history[1][2] is None
+        assert isinstance(history[2][2], float)
 
     def test_boxes_rescaled_to_resolution(self, tmp_path, capsys):
         # a 64x64 image upscaled to resolution 512 stretches boxes by 8

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,21 @@ class TestDecode:
         with pytest.raises(ValueError, match="non-finite box") as exc:
             decode(p, make_cfg())
         assert repr(p) in str(exc.value)
+
+    @pytest.mark.parametrize("field", ["t_x", "t_y", "t_w", "t_h",
+                                       "objectness", "class_scores"])
+    def test_nan_logit_raises_naming_prediction(self, field):
+        p = RawPrediction(0.0, 0.0, 0.0, 0.0, 0.0, (0.0, 1.0))
+        p = dataclasses.replace(
+            p, **{field: (0.0, math.nan) if field == "class_scores" else math.nan})
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            decode(p, make_cfg())
+        assert repr(p) in str(exc.value)
+
+    def test_sigmoid_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            sigmoid(math.nan)
+        assert sigmoid(-math.inf) == 0.0 and sigmoid(math.inf) == 1.0
 
     def test_monotone_in_logits(self):
         cfg = make_cfg(s=1.1)
@@ -160,6 +176,21 @@ class TestAssignAnchors:
             counts = [len(assign_anchors(truth, self.CFG, t))
                       for t in (0.1, 0.213, 0.4, 0.6, 0.8)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("x,y", [(1e6, -5.0), (-5.0, 100.0), (100.0, -1e-9),
+                                     (512.0 + 1e-9, 100.0), (100.0, 1e6)])
+    def test_center_outside_grid_raises_naming_truth(self, x, y):
+        truth = CenterBox(x, y, 3, 3)
+        with pytest.raises(ValueError, match="outside") as exc:
+            assign_anchors(truth, self.CFG, 0.213)
+        assert repr(truth) in str(exc.value)
+
+    def test_grid_edges_belong_to_edge_cells(self):
+        # the grid is 16 cells of stride 32: [0, 512] on both axes
+        for (x, y), cell in [((0.0, 0.0), (0, 0)), ((512.0, 512.0), (15, 15)),
+                             ((512.0, 0.0), (15, 0)), ((511.9, 32.0), (15, 1))]:
+            out = assign_anchors(CenterBox(x, y, 10, 10), self.CFG, 0.213)
+            assert all(c == cell for c, _ in out)
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):

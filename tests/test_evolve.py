@@ -5,11 +5,11 @@ import logging
 import numpy as np
 import pytest
 
-from detbag.decode import Anchor
-from detbag.geometry import Box, iou
+from detbag.decode import Anchor, shape_iou
+from detbag.geometry import Box, box_iou, iou
 from detbag.evolve import (GAConfig, HyperEntry, HyperVector, KMeansResult,
                            anchor_recall, default_hypervector, evolve,
-                           export_history_csv, kmeans_anchors, wh_iou_matrix)
+                           kmeans_anchors, wh_iou_matrix)
 
 
 def sphere_fitness(target: dict[str, float]):
@@ -131,16 +131,6 @@ class TestEvolve:
             evolve(three_entry_vector(), lambda v: float("inf") - float("inf"),
                    GAConfig())
 
-    def test_history_csv_export(self, tmp_path):
-        _, history = evolve(three_entry_vector(),
-                            sphere_fitness({"a": 1.0, "b": 1.0, "c": 1.0}),
-                            GAConfig(population=3, generations=4, seed=0))
-        path = tmp_path / "history.csv"
-        export_history_csv(history, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "generation,best,mean"
-        assert len(lines) == len(history) + 1
-
     def test_config_validated(self):
         with pytest.raises(ValueError):
             GAConfig(population=0)
@@ -170,6 +160,87 @@ class TestWhIou:
         recall, mean_iou = anchor_recall(shapes, [Anchor(10, 10)], 0.213)
         assert recall == 0.5
         assert mean_iou == pytest.approx((1.0 + 0.01) / 2)
+
+    def test_anchor_recall_rejects_empty_anchor_list(self):
+        with pytest.raises(ValueError, match="anchors"):
+            anchor_recall([(10.0, 10.0)], [], 0.213)
+
+    @pytest.mark.parametrize("shapes", [[], np.zeros((0, 2)), np.ones((4, 3)),
+                                        np.ones(4), np.ones((2, 2, 2))])
+    def test_anchor_recall_rejects_empty_or_misshapen_shapes(self, shapes):
+        with pytest.raises(ValueError, match="shapes"):
+            anchor_recall(shapes, [Anchor(10, 10)], 0.213)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_side_rejected(self, bad):
+        shapes = np.array([[10.0, 10.0], [5.0, bad]])
+        with pytest.raises(ValueError, match="shapes"):
+            anchor_recall(shapes, [Anchor(10, 10)], 0.213)
+        with pytest.raises(ValueError, match="shapes_b"):
+            wh_iou_matrix(np.ones((3, 2)), shapes)
+
+    @pytest.mark.parametrize("shapes", [[], np.zeros((0, 2)), np.ones((4, 3)),
+                                        np.ones(4)])
+    def test_wh_iou_matrix_rejects_empty_or_misshapen_shapes(self, shapes):
+        with pytest.raises(ValueError, match="shapes_a"):
+            wh_iou_matrix(shapes, np.ones((3, 2)))
+        with pytest.raises(ValueError, match="shapes_b"):
+            wh_iou_matrix(np.ones((3, 2)), shapes)
+
+
+def corner_wh_iou(shapes_a, shapes_b):
+    """Oracle: the concentric corner boxes through the (n, 1, 4) x (1, m, 4)
+    `box_iou` broadcast."""
+    a = np.hstack([-shapes_a / 2.0, shapes_a / 2.0])
+    b = np.hstack([-shapes_b / 2.0, shapes_b / 2.0])
+    return box_iou(a[:, None], b[None, :])
+
+
+def shape_sets(rng, kind):
+    n, m = int(rng.integers(1, 400)), int(rng.integers(1, 12))
+    if kind == "integer":
+        a, b = rng.integers(0, 60, (n, 2)), rng.integers(1, 60, (m, 2))
+        return a.astype(float), b.astype(float)
+    a = np.exp(rng.uniform(-12, 12, (n, 2)))
+    b = np.exp(rng.uniform(-12, 12, (m, 2)))
+    a[rng.random(a.shape) < 0.1] = 0.0  # zero sides, some whole zero shapes
+    b[rng.random(b.shape) < 0.1] = 0.0
+    return a, b
+
+
+class TestExactAgainstCornerForm:
+    @pytest.mark.parametrize("kind", ["integer", "log-uniform"])
+    def test_wh_iou_matrix_equals_corner_box_iou(self, kind):
+        rng = np.random.default_rng(181)
+        for _ in range(150):
+            a, b = shape_sets(rng, kind)
+            got = wh_iou_matrix(a, b)
+            assert got.shape == (len(a), len(b))
+            assert got.tobytes() == corner_wh_iou(a, b).tobytes()
+            assert np.array_equal(got, wh_iou_matrix(b, a).T)
+
+    @pytest.mark.parametrize("kind", ["integer", "log-uniform"])
+    def test_wh_iou_matrix_equals_scalar_shape_iou(self, kind):
+        rng = np.random.default_rng(193)
+        for _ in range(20):
+            a, b = shape_sets(rng, kind)
+            a = a[:40]
+            assert wh_iou_matrix(a, b).tolist() == [
+                [shape_iou(*sa, *sb) for sb in b.tolist()] for sa in a.tolist()]
+
+    @pytest.mark.parametrize("kind", ["integer", "log-uniform"])
+    def test_anchor_recall_equals_corner_box_iou(self, kind):
+        rng = np.random.default_rng(191)
+        for _ in range(150):
+            shapes, anchor_shapes = shape_sets(rng, kind)
+            anchor_shapes = anchor_shapes[(anchor_shapes > 0).all(axis=1)]
+            if len(anchor_shapes) == 0:
+                continue
+            anchors = [Anchor(w, h) for w, h in anchor_shapes]
+            best = corner_wh_iou(shapes, anchor_shapes).max(axis=1)
+            for thr in (0.213, float(best[0])):
+                assert anchor_recall(shapes, anchors, thr) == (
+                    float((best > thr).mean()), float(best.mean()))
 
 
 def planted_clusters(rng, n_each=200):

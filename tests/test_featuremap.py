@@ -174,6 +174,11 @@ class TestActivations:
         assert value == 0.0
         assert deriv == 0.5
 
+    @pytest.mark.parametrize("kind", ["mish", "swish", "leaky_relu"])
+    def test_nan_rejected(self, kind):
+        with pytest.raises(ValueError):
+            activation(math.nan, kind)
+
     def test_mish_at_one_frozen(self):
         value, deriv = activation(1.0, "mish")
         assert value == pytest.approx(0.8650983882673103, abs=1e-15)
