@@ -244,10 +244,14 @@ def kmeans_anchors(boxes, k: int, iters: int = 100,
         dist = 1.0 - wh_iou_matrix(shapes, centroids)
         new_assign = dist.argmin(axis=1)
         per_box = dist[np.arange(len(shapes)), new_assign]
-        # reseed empties from the farthest box so every cluster stays live
+        counts = np.bincount(new_assign, minlength=k)
+        # reseed empties from the farthest box so every cluster stays live;
+        # the counts follow each move, which can empty a later cluster
         for c in range(k):
-            if not (new_assign == c).any():
+            if counts[c] == 0:
                 far = int(per_box.argmax())
+                counts[new_assign[far]] -= 1
+                counts[c] += 1
                 centroids[c] = shapes[far]
                 new_assign[far] = c
                 per_box[far] = 0.0
@@ -259,8 +263,13 @@ def kmeans_anchors(boxes, k: int, iters: int = 100,
         if (new_assign == assign).all():
             break
         assign = new_assign
-        for c in range(k):
-            centroids[c] = np.median(shapes[assign == c], axis=0)
+        # a stable sort keeps each cluster's boxes in input order; a reseed
+        # can take the last box of an earlier cluster, which then keeps its
+        # centroid until the next assignment step
+        groups = np.split(shapes[np.argsort(assign, kind="stable")], np.cumsum(counts)[:-1])
+        for c, group in enumerate(groups):
+            if len(group):
+                centroids[c] = np.median(group, axis=0)
 
     final = 1.0 - wh_iou_matrix(shapes, best_centroids)
     mean_best = float((1.0 - final.min(axis=1)).mean())

@@ -249,7 +249,76 @@ def planted_clusters(rng, n_each=200):
     return np.clip(c1, 0.5, None), np.clip(c2, 0.5, None)
 
 
+def masked_kmeans(boxes, k, rng):
+    """`kmeans_anchors` with a per-cluster mask scan for empties and for
+    the medians: the reference its bincount/argsort bookkeeping must equal.
+    Returns the result and the number of reseeds."""
+    shapes = np.asarray(boxes, dtype=float).reshape(-1, 2)
+    distinct = np.unique(shapes, axis=0)
+    centroids = distinct[rng.choice(len(distinct), size=k, replace=False)].copy()
+    best_centroids = centroids.copy()
+    assign = np.full(len(shapes), -1)
+    distances, reseeds = [], 0
+    for _ in range(100):
+        dist = 1.0 - wh_iou_matrix(shapes, centroids)
+        new_assign = dist.argmin(axis=1)
+        per_box = dist[np.arange(len(shapes)), new_assign]
+        for c in range(k):
+            if not (new_assign == c).any():
+                reseeds += 1
+                far = int(per_box.argmax())
+                centroids[c] = shapes[far]
+                new_assign[far] = c
+                per_box[far] = 0.0
+        total = float(per_box.sum())
+        if distances and total >= distances[-1]:
+            break
+        distances.append(total)
+        best_centroids = centroids.copy()
+        if (new_assign == assign).all():
+            break
+        assign = new_assign
+        for c in range(k):
+            centroids[c] = np.median(shapes[assign == c], axis=0)
+    final = 1.0 - wh_iou_matrix(shapes, best_centroids)
+    mean_best = float((1.0 - final.min(axis=1)).mean())
+    order = np.argsort(best_centroids[:, 0] * best_centroids[:, 1], kind="stable")
+    anchors = [Anchor(float(w), float(h)) for w, h in best_centroids[order]]
+    return KMeansResult(anchors, mean_best, distances), reseeds
+
+
+# (shapes, k, rng seed, reseeds the reference makes)
+KMEANS_SETS = [
+    ([(5.0, 5.0), (10.0, 20.0), (40.0, 8.0)], 3, 1, 0),
+    ([(2, 3), (1, 2), (3, 1), (4, 3), (1, 5), (5, 3), (3, 2)], 5, 800, 1),
+    ([(1, 5), (4, 1), (1, 3), (3, 3), (4, 4), (1, 1), (5, 3), (4, 2)], 4, 1191, 1),
+    (np.vstack(planted_clusters(np.random.default_rng(163))), 2, 7, 0),
+    (np.exp(np.random.default_rng(0).normal(np.log(40), 0.8, (150, 2))), 5, 0, 0),
+    (np.random.default_rng(173).uniform(5, 80, (100, 2)), 4, 173, 0),
+    (np.exp(np.random.default_rng(3).normal(3.0, 0.6, (3000, 2))), 9, 3, 0),
+]
+
+
 class TestKMeansAnchors:
+    @pytest.mark.parametrize("shapes,k,seed,reseeds", KMEANS_SETS)
+    def test_equals_masked_reference(self, shapes, k, seed, reseeds):
+        want, made = masked_kmeans(shapes, k, np.random.default_rng(seed))
+        assert made == reseeds
+        assert repr(kmeans_anchors(shapes, k, rng=np.random.default_rng(seed))) == repr(want)
+
+    def test_reseed_that_empties_an_earlier_cluster(self):
+        # the reseed of cluster c takes the last box of a cluster before c;
+        # that cluster keeps its centroid until the next assignment step
+        shapes = [(27.74, 18.73), (5.80, 8.09), (16.59, 45.78), (10.28, 17.48),
+                  (12.90, 22.58), (13.27, 58.90), (39.54, 19.13), (26.48, 27.31),
+                  (15.60, 15.93), (5.65, 178.29), (40.76, 9.58)]
+        res = kmeans_anchors(shapes, 8, rng=np.random.default_rng(6550))
+        assert len(res.anchors) == 8
+        assert all(math.isfinite(a.w) and math.isfinite(a.h) for a in res.anchors)
+        assert 0.0 < res.mean_best_iou <= 1.0
+        d = res.distance_per_iteration
+        assert all(a >= b for a, b in zip(d, d[1:]))
+
     def test_identical_boxes_k1(self):
         res = kmeans_anchors([(12.0, 20.0)] * 50, 1)
         assert (res.anchors[0].w, res.anchors[0].h) == (12.0, 20.0)

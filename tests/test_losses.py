@@ -7,6 +7,81 @@ from detbag.geometry import CenterBox
 from detbag.losses import BoxLossResult, LossVariant, box_loss, label_smooth, loss_normalize
 
 VARIANTS = ("mse", "iou", "giou", "diou", "ciou")
+IOU_FAMILY = (LossVariant.IOU, LossVariant.GIOU, LossVariant.DIOU, LossVariant.CIOU)
+
+
+def vector_box_loss(p, t, variant: LossVariant):
+    """The IoU-family derivation as 4-vector numpy expressions: the exact
+    reference for `box_loss`, which forms the same terms on Python floats."""
+    p = np.array(p, dtype=float)
+    t = np.array(t, dtype=float)
+    metric, grad = vector_metric_with_grad(p, t, variant)
+    return 1.0 - metric, -grad
+
+
+def vector_binding(hi, lo):
+    # the flags are np.bool_, whose `+` is a logical or
+    hi, lo = float(hi), float(lo)
+    return hi - lo, 0.5 * (hi + lo)
+
+
+def vector_metric_with_grad(p, t, variant):
+    px, py, pw, ph = p
+    tx, ty, tw, th = t
+    px1, px2 = px - pw / 2, px + pw / 2
+    py1, py2 = py - ph / 2, py + ph / 2
+    tx1, tx2 = tx - tw / 2, tx + tw / 2
+    ty1, ty2 = ty - th / 2, ty + th / 2
+
+    ix1, ix2 = max(px1, tx1), min(px2, tx2)
+    iy1, iy2 = max(py1, ty1), min(py2, ty2)
+    iw, ih = ix2 - ix1, iy2 - iy1
+    diw_x, diw_w = vector_binding(px2 < tx2, px1 > tx1)
+    dih_y, dih_h = vector_binding(py2 < ty2, py1 > ty1)
+    if iw > 0.0 and ih > 0.0:
+        inter = iw * ih
+        d_inter = np.array([ih * diw_x, iw * dih_y, ih * diw_w, iw * dih_h])
+    else:
+        inter = 0.0
+        d_inter = np.zeros(4)
+
+    union = pw * ph + tw * th - inter
+    d_union = np.array([0.0, 0.0, ph, pw]) - d_inter
+    iou = inter / union
+    d_iou = (d_inter * union - inter * d_union) / union**2
+    if variant is LossVariant.IOU:
+        return iou, d_iou
+
+    ex1, ex2 = min(px1, tx1), max(px2, tx2)
+    ey1, ey2 = min(py1, ty1), max(py2, ty2)
+    ew, eh = ex2 - ex1, ey2 - ey1
+    dew_x, dew_w = vector_binding(px2 > tx2, px1 < tx1)
+    deh_y, deh_h = vector_binding(py2 > ty2, py1 < ty1)
+
+    if variant is LossVariant.GIOU:
+        c = ew * eh
+        d_c = np.array([eh * dew_x, ew * deh_y, eh * dew_w, ew * deh_h])
+        giou = iou - (c - union) / c
+        d_giou = d_iou + (d_union * c - union * d_c) / c**2
+        return giou, d_giou
+
+    rho2 = (px - tx) ** 2 + (py - ty) ** 2
+    d_rho2 = np.array([2 * (px - tx), 2 * (py - ty), 0.0, 0.0])
+    c2 = ew * ew + eh * eh
+    d_c2 = np.array([2 * ew * dew_x, 2 * eh * deh_y, 2 * ew * dew_w, 2 * eh * deh_h])
+    diou = iou - rho2 / c2
+    d_diou = d_iou - (d_rho2 * c2 - rho2 * d_c2) / c2**2
+    if variant is LossVariant.DIOU:
+        return diou, d_diou
+
+    delta = math.atan(tw / th) - math.atan(pw / ph)
+    v = 4.0 / math.pi**2 * delta * delta
+    alpha = v / (1.0 - iou + v) if v > 0.0 else 0.0
+    s = pw * pw + ph * ph
+    d_v = np.array([0.0, 0.0,
+                    -8.0 / math.pi**2 * delta * ph / s,
+                    8.0 / math.pi**2 * delta * pw / s])
+    return diou - alpha * v, d_diou - alpha * d_v
 
 
 def loss_value(p, t, variant, alpha_override=None):
@@ -67,6 +142,16 @@ def random_pair(rng):
     p = [*rng.uniform(-5, 5, 2), *rng.uniform(0.1, 10, 2)]
     t = [*rng.uniform(-5, 5, 2), *rng.uniform(0.1, 10, 2)]
     return p, t
+
+
+def integer_pair(rng):
+    """Boxes with integer corners in a 6 x 6 frame, so that edges often
+    coincide and the subgradient tie rules decide the gradient."""
+    def box():
+        x1, y1 = rng.integers(0, 5, 2)
+        w, h = rng.integers(1, 6 - x1), rng.integers(1, 6 - y1)
+        return [float(x1 + w / 2), float(y1 + h / 2), float(w), float(h)]
+    return box(), box()
 
 
 def check_gradients(variant, n, seed, tol=1e-4):
@@ -131,10 +216,38 @@ class TestBoxLoss:
             lc = box_loss(CenterBox(*p), CenterBox(*t), "ciou").value
             assert lc >= ld - eps >= li - 2 * eps
 
+    @pytest.mark.parametrize("variant", IOU_FAMILY, ids=lambda v: v.value)
+    @pytest.mark.parametrize("make_pair,n", [(random_pair, 3000), (integer_pair, 500)],
+                             ids=["random", "integer"])
+    def test_equals_vector_derivation_bit_for_bit(self, variant, make_pair, n):
+        rng = np.random.default_rng(41)
+        for _ in range(n):
+            p, t = make_pair(rng)
+            want_value, want_grad = vector_box_loss(p, t, variant)
+            for name in (variant, variant.value, variant.value.upper()):
+                res = box_loss(CenterBox(*p), CenterBox(*t), name)
+                assert type(res.value) is float
+                assert res.value == want_value, (p, t)
+                assert res.grad.dtype == np.float64 and res.grad.shape == (4,)
+                assert np.array_equal(res.grad, want_grad), (p, t)
+                assert np.array_equal(np.signbit(res.grad), np.signbit(want_grad)), (p, t)
+
+    def test_grad_is_a_fresh_array(self):
+        p, t = CenterBox(1, 1, 2, 2), CenterBox(2, 2, 2, 2)
+        for variant in VARIANTS:
+            a, b = box_loss(p, t, variant), box_loss(p, t, variant)
+            assert a.grad.flags.owndata and a.grad.flags.writeable
+            assert not np.shares_memory(a.grad, b.grad)
+
     def test_variant_enum_accepted(self):
-        res = box_loss(CenterBox(0, 0, 1, 1), CenterBox(0, 0, 1, 1),
-                       LossVariant.GIOU)
-        assert isinstance(res, BoxLossResult)
+        for variant in (LossVariant.GIOU, "GIoU", "giou"):
+            res = box_loss(CenterBox(0, 0, 1, 1), CenterBox(0, 0, 1, 1), variant)
+            assert isinstance(res, BoxLossResult)
+
+    @pytest.mark.parametrize("variant", [None, 3, "", "cio", "LossVariant.CIOU"])
+    def test_unknown_variant_rejected(self, variant):
+        with pytest.raises(ValueError, match="unknown loss variant"):
+            box_loss(CenterBox(0, 0, 1, 1), CenterBox(0, 0, 1, 1), variant)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -175,10 +288,19 @@ class TestLabelSmooth:
             assert out.argmax() == v.argmax()
 
     def test_epsilon_range_enforced(self):
-        with pytest.raises(ValueError):
-            label_smooth(np.array([1.0, 0.0]), 1.0)
-        with pytest.raises(ValueError):
-            label_smooth(np.array([1.0, 0.0]), -0.1)
+        for eps in (1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                label_smooth(np.array([1.0, 0.0]), eps)
+
+    @pytest.mark.parametrize("onehot,match", [
+        (np.array(1.0), r"shape \(\)"),
+        (np.zeros((3, 0)), r"shape \(3, 0\)"),
+        (np.array([1.0, math.nan]), "non-finite"),
+        (np.array([[1.0, 0.0], [0.0, math.inf]]), "non-finite")],
+        ids=["0-d", "empty-last-axis", "nan", "inf"])
+    def test_bad_onehot_rejected(self, onehot, match):
+        with pytest.raises(ValueError, match=match):
+            label_smooth(onehot, 0.1)
 
 
 class TestLossNormalize:
@@ -194,3 +316,11 @@ class TestLossNormalize:
             loss_normalize(1.0, 0.0)
         with pytest.raises(ValueError):
             loss_normalize(1.0, -2.0)
+
+    @pytest.mark.parametrize("raw,normalizer,match", [
+        (1.0, math.nan, "normalizer"), (1.0, math.inf, "normalizer"),
+        (math.nan, 0.07, "raw_loss"), (math.inf, 0.07, "raw_loss"),
+        (-math.inf, 1.0, "raw_loss"), (1e308, 10.0, "raw_loss")])
+    def test_non_finite_rejected(self, raw, normalizer, match):
+        with pytest.raises(ValueError, match=match):
+            loss_normalize(raw, normalizer)
