@@ -138,14 +138,17 @@ def _load_samples(index: ingest.DatasetIndex, images_dir: Path):
     if missing:
         raise ValueError(f"missing image files in {images_dir}: "
                          f"{', '.join(sorted(missing))}")
-    truths = index.truths_by_image()
+    anns: dict[int, list[ingest.AnnotationRec]] = {im.id: [] for im in index.images}
+    for a in index.annotations:
+        anns[a.image_id].append(a)
     samples = []
     for im in sorted(index.images, key=lambda im: im.id):
         image = ingest.load_image(images_dir / im.file_name)
         if image.shape[:2] != (im.height, im.width):
             raise ValueError(f"{im.file_name}: file is {image.shape[1]}x"
                              f"{image.shape[0]}, index says {im.width}x{im.height}")
-        samples.append(aug.Sample(image, truths[im.id]))
+        samples.append(aug.Sample(image, [(a.to_box(), a.category_id) for a in anns[im.id]],
+                                  [a.weight for a in anns[im.id]]))
     return samples
 
 
@@ -188,25 +191,17 @@ def cmd_augment(args) -> int:
         raise ValueError(f"unknown augmentation op: {args.op!r}")
 
     images, annotations = [], []
-    ann_id = 1
     for i, sample in enumerate(produced, start=1):
         name = f"{args.op}_{i:04d}.ppm"
         ingest.save_image(sample.image, out_dir / name)
-        images.append({"id": i, "file_name": name,
-                       "width": sample.width, "height": sample.height})
+        images.append(ingest.ImageInfo(i, name, sample.width, sample.height))
         for (box, cid), weight in zip(sample.labels, sample.weights):
-            rec = {"id": ann_id, "image_id": i,
-                   "bbox": [box.x_min, box.y_min, box.width, box.height],
-                   "category_id": cid}
-            if weight != 1.0:
-                rec["weight"] = weight
-            annotations.append(rec)
-            ann_id += 1
-    payload = {"images": images, "annotations": annotations,
-               "categories": [{"id": c.id, "name": c.name}
-                              for c in index.categories]}
-    with open(out_dir / "annotations.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+            annotations.append(ingest.AnnotationRec(
+                len(annotations) + 1, i,
+                (box.x_min, box.y_min, box.width, box.height), cid, weight))
+    ingest.save_annotations(
+        ingest.DatasetIndex(tuple(images), tuple(annotations), index.categories),
+        out_dir / "annotations.json")
     print(f"wrote {len(produced)} samples to {out_dir}")
     return 0
 

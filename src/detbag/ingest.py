@@ -31,10 +31,19 @@ class AnnotationRec:
     image_id: int
     bbox: tuple[float, float, float, float]  # x, y, w, h
     category_id: int
+    weight: float = 1.0  # mixed-label augmentation weight, in (0, 1]
 
     def to_box(self) -> Box:
         x, y, w, h = self.bbox
         return Box(x, y, x + w, y + h)
+
+    def to_dict(self) -> dict:
+        """The COCO record; `weight` is written only when it is not 1."""
+        rec = {"id": self.id, "image_id": self.image_id, "bbox": list(self.bbox),
+               "category_id": self.category_id}
+        if self.weight != 1.0:
+            rec["weight"] = self.weight
+        return rec
 
 
 @dataclass(frozen=True)
@@ -65,9 +74,7 @@ class DatasetIndex:
             "images": [{"id": im.id, "file_name": im.file_name,
                         "width": im.width, "height": im.height}
                        for im in self.images],
-            "annotations": [{"id": a.id, "image_id": a.image_id,
-                             "bbox": list(a.bbox), "category_id": a.category_id}
-                            for a in self.annotations],
+            "annotations": [a.to_dict() for a in self.annotations],
             "categories": [{"id": c.id, "name": c.name} for c in self.categories],
         }
 
@@ -117,8 +124,9 @@ def load_annotations(path) -> DatasetIndex:
     """Parse a COCO-subset annotation file and verify referential integrity.
 
     Raises ValueError naming the offending record on malformed structure,
-    duplicate, fractional or dangling ids, negative sizes, or a bbox that is
-    NaN or infinite (Python's `json` reads NaN and Infinity).
+    duplicate, fractional or dangling ids, negative sizes, a bbox that is
+    NaN or infinite (Python's `json` reads NaN and Infinity), or a label
+    weight outside (0, 1].
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -165,9 +173,15 @@ def parse_annotations(data: dict) -> DatasetIndex:
         if (not isinstance(bbox, (list, tuple)) or len(bbox) != 4
                 or not all_numbers(*bbox)):
             raise ValueError(f"annotation {ann_id} bbox must be [x, y, w, h]: {bbox}")
+        weight = 1.0
+        if "weight" in rec:
+            weight = rec["weight"]
+            if not all_numbers(weight) or not 0.0 < weight <= 1.0:
+                raise ValueError(f"annotation {ann_id} weight outside (0, 1]: {weight!r}")
         ann = AnnotationRec(ann_id, int_field(rec, "image_id", "annotation"),
                             tuple(float(v) for v in bbox),
-                            int_field(rec, "category_id", "annotation"))
+                            int_field(rec, "category_id", "annotation"),
+                            float(weight))
         if ann.image_id not in image_ids:
             raise ValueError(
                 f"annotation {ann.id} references missing image {ann.image_id}")

@@ -7,6 +7,7 @@ are deterministic across platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from detbag.geometry import Box, box_diou, box_iou, corners
 
 DEFAULT_SCORE_FLOOR = 0.001
+_BLOCK = 32  # overlap rows per kernel call in _suppress
 
 
 @dataclass(frozen=True)
@@ -31,13 +33,21 @@ class Detection:
             raise ValueError(f"negative class id: {self.class_id}")
 
 
-def _suppress(dets: list[Detection], overlap_row, rule) -> list[tuple[float, int]]:
+def _suppress(dets: list[Detection], overlap, rule) -> list[tuple[float, int]]:
     """The pick loop shared by every variant, as (final score, input index)
     pairs sorted by descending score, then input index.
 
     Each class's live set stays in input order, so argmax breaks a score tie
     toward the lower input index. After each pick, `rule(overlap, scores)`
     returns the live-set mask and the (possibly decayed) live scores.
+
+    Overlap rows are computed in blocks: when a pick has no row yet, one
+    broadcast `overlap` call gives the rows of the top-`_BLOCK` live boxes
+    by current score (ties to the lower position, as argmax picks them)
+    against the whole live set, and later picks in the block read their
+    row from it. Each element is the same kernel arithmetic on the same
+    pair as a per-pick row, so the values are `==` and only the number of
+    kernel calls depends on the block.
     """
     if not dets:
         return []
@@ -46,16 +56,33 @@ def _suppress(dets: list[Detection], overlap_row, rule) -> list[tuple[float, int
     labels = np.array([d.class_id for d in dets])
     out: list[tuple[float, int]] = []
     for cid in dict.fromkeys(labels.tolist()):
+        # live: the class's live set, as input indices, when the last block
+        # was computed; cols: each current live box's position in it, which
+        # is also its block column; row_of: a position's block row, or -1
         live = np.flatnonzero(labels == cid)
-        live_boxes, live_scores = boxes[live], scores[live]
-        while live.size > 1:
+        live_scores = scores[live]
+        cols = np.arange(live.size)
+        row_of = np.full(live.size, -1)
+        while cols.size > 1:
             k = live_scores.argmax()
-            out.append((float(live_scores[k]), int(live[k])))
-            keep, live_scores = rule(overlap_row(live_boxes[k], live_boxes), live_scores)
+            if row_of[cols[k]] < 0:
+                live, cols = live[cols], np.arange(cols.size)
+                top = cols
+                if cols.size > _BLOCK:  # ties at the cut go to lower positions
+                    cut = np.partition(live_scores, -_BLOCK)[-_BLOCK]
+                    top = np.concatenate([np.flatnonzero(live_scores > cut),
+                                          np.flatnonzero(live_scores == cut)])[:_BLOCK]
+                live_boxes = boxes[live]
+                block = overlap(live_boxes[top][:, None], live_boxes[None, :])
+                row_of = np.full(cols.size, -1)
+                row_of[top] = np.arange(top.size)
+            c = cols[k]
+            out.append((float(live_scores[k]), int(live[c])))
+            keep, live_scores = rule(block[row_of[c]][cols], live_scores)
             keep[k] = False
-            live, live_boxes, live_scores = live[keep], live_boxes[keep], live_scores[keep]
-        if live.size:  # a lone box is kept without an overlap row
-            out.append((float(live_scores[0]), int(live[0])))
+            cols, live_scores = cols[keep], live_scores[keep]
+        if cols.size:  # a lone box is kept without an overlap row
+            out.append((float(live_scores[0]), int(live[cols[0]])))
     out.sort(key=lambda si: (-si[0], si[1]))
     return out
 
@@ -103,8 +130,10 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
     """
     if mode not in ("linear", "gaussian"):
         raise ValueError(f"unknown soft-nms mode: {mode!r}")
-    if mode == "gaussian" and sigma <= 0.0:
-        raise ValueError(f"sigma must be positive: {sigma}")
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold outside [0, 1]: {iou_threshold}")
+    if mode == "gaussian" and not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive: {sigma}")
     if not 0.0 <= score_floor < 1.0:
         raise ValueError(f"score_floor outside [0, 1): {score_floor}")
 

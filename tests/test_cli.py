@@ -9,7 +9,7 @@ from conftest import write_dataset, write_detections
 from detbag import cli
 from detbag import evolve as evolve_module
 from detbag.cli import main
-from detbag.ingest import load_annotations
+from detbag.ingest import load_annotations, save_annotations
 
 
 def run(capsys, *argv):
@@ -161,6 +161,19 @@ class TestEval:
         assert json.loads(out_diou)["AP"] >= json.loads(out_greedy)["AP"]
         assert json.loads(out_diou)["AP"] == 1.0
 
+    @pytest.mark.parametrize("extra,name", [
+        (("--nms-threshold", "nan"), "iou_threshold"),
+        (("--nms-threshold", "7.0"), "iou_threshold"),
+        (("--soft-mode", "gaussian", "--sigma", "nan"), "sigma"),
+    ], ids=["nan-threshold", "threshold-above-one", "nan-sigma"])
+    def test_bad_soft_nms_argument_fails_cleanly(self, tmp_path, capsys, extra, name):
+        ann = write_dataset(tmp_path, [[[10, 10, 40, 40]]])
+        dets = write_detections(tmp_path, [
+            {"image_id": 1, "category_id": 1, "bbox": [10, 10, 40, 40], "score": 0.9}])
+        code, out, err = run(capsys, "eval", str(dets), str(ann), "--nms", "soft", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name} ") and "Traceback" not in err
+
     def test_table_output(self, tmp_path, capsys):
         ann = write_dataset(tmp_path, [[[10, 10, 40, 40]]])
         dets = write_detections(tmp_path, [])
@@ -263,6 +276,24 @@ class TestAugment:
             box = ann.to_box()
             assert 0 <= box.x_min <= box.x_max <= 48
             assert 0 <= box.y_min <= box.y_max <= 48
+
+    def test_mixup_weights_survive_a_round_trip(self, tmp_path, capsys):
+        out_dir = self.run_augment(tmp_path, capsys, "mixup", "mixed")
+        path = out_dir / "annotations.json"
+        index = load_annotations(path)
+        written = [a.get("weight", 1.0) for a in json.loads(path.read_text())["annotations"]]
+        weights = [a.weight for a in index.annotations]
+        assert weights == written and len(weights) == 4
+        assert all(0.0 < w < 1.0 for w in weights)
+        assert weights[0] + weights[1] == pytest.approx(1.0)
+        save_annotations(index, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        # a later op reads the weights back in and carries them to its output
+        code, _, err = run(capsys, "augment", str(path), str(out_dir), "--op", "blur",
+                           "--out-dir", str(tmp_path / "blurred"))
+        assert code == 0, err
+        blurred = load_annotations(tmp_path / "blurred" / "annotations.json")
+        assert [a.weight for a in blurred.annotations] == weights
 
     def test_missing_images_listed(self, tmp_path, capsys):
         ann = write_dataset(tmp_path, [[[8, 8, 16, 12]]] * 2,

@@ -146,6 +146,29 @@ class TestAnnotations:
         save_annotations(again, path)
         assert load_annotations(path) == again
 
+    def test_weight_defaults_to_one_and_is_not_written(self):
+        index = parse_annotations(minimal_dataset())
+        assert index.annotations[0].weight == 1.0
+        assert "weight" not in index.to_dict()["annotations"][0]
+
+    @pytest.mark.parametrize("weight", [0.25, 1, 1.0])
+    def test_weight_round_trips(self, tmp_path, weight):
+        data = minimal_dataset()
+        data["annotations"][0]["weight"] = weight
+        index = parse_annotations(data)
+        assert index.annotations[0].weight == weight
+        path = tmp_path / "weighted.json"
+        save_annotations(index, path)
+        assert load_annotations(path) == index
+
+    @pytest.mark.parametrize("weight", [0.0, -0.5, 1.5, float("nan"), float("inf"),
+                                        True, "0.5", None])
+    def test_weight_outside_unit_interval_names_annotation(self, weight):
+        data = minimal_dataset()
+        data["annotations"][0]["weight"] = weight
+        with pytest.raises(ValueError, match="annotation 5 weight"):
+            parse_annotations(data)
+
     def test_truths_by_image_includes_empty_images(self):
         data = minimal_dataset()
         data["images"].append({"id": 2, "file_name": "b.ppm",

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detbag.geometry import Box, diou, iou
-from detbag.nms import Detection, diou_nms, greedy_nms, soft_nms
+from detbag import nms
+from detbag.geometry import Box, corners, diou, iou
+from detbag.nms import _BLOCK, Detection, diou_nms, greedy_nms, soft_nms
 
 
 def brute_force_greedy(dets, threshold, overlap=iou):
@@ -69,6 +70,130 @@ def _random_detections(n: int, classes: int, rng) -> list[Detection]:
             float(rng.uniform(0.0, 1.0)),
             int(rng.integers(0, classes))))
     return dets
+
+
+def per_pick_rows(dets, overlap_row, rule):
+    """The pick loop with one overlap row per pick: the exactness oracle
+    for `nms._suppress`, whose rows come in blocks."""
+    if not dets:
+        return []
+    boxes = corners(d.box for d in dets)
+    scores = np.array([d.score for d in dets], dtype=float)
+    labels = np.array([d.class_id for d in dets])
+    out: list[tuple[float, int]] = []
+    for cid in dict.fromkeys(labels.tolist()):
+        live = np.flatnonzero(labels == cid)
+        live_boxes, live_scores = boxes[live], scores[live]
+        while live.size > 1:
+            k = live_scores.argmax()
+            out.append((float(live_scores[k]), int(live[k])))
+            keep, live_scores = rule(overlap_row(live_boxes[k], live_boxes), live_scores)
+            keep[k] = False
+            live, live_boxes, live_scores = live[keep], live_boxes[keep], live_scores[keep]
+        if live.size:  # a lone box is kept without an overlap row
+            out.append((float(live_scores[0]), int(live[0])))
+    out.sort(key=lambda si: (-si[0], si[1]))
+    return out
+
+
+VARIANTS = {
+    "greedy": lambda dets: greedy_nms(dets, 0.5),
+    "diou": lambda dets: diou_nms(dets, 0.45),
+    "soft-linear": lambda dets: soft_nms(dets, 0.45),
+    "soft-gaussian": lambda dets: soft_nms(dets, 0.45, sigma=0.5, mode="gaussian"),
+}
+
+
+def tied_grid_detections(n):
+    """Integer-grid boxes of one class with four score levels, so that many
+    boxes tie across the top-_BLOCK cut of a block."""
+    rng = np.random.default_rng(83)
+    dets = []
+    for _ in range(n):
+        x, y = rng.integers(0, 40, 2)
+        w, h = rng.integers(1, 12, 2)
+        dets.append(Detection(Box(x, y, x + w, y + h),
+                              float(rng.choice([0.2, 0.4, 0.6, 0.8])), 0))
+    return dets
+
+
+def clustered_detections(seed):
+    """Crowd-like clusters of jittered copies of planted boxes, 30 per
+    cluster in 2 classes, with uniform scores: soft-NMS decays reorder the
+    picks, so later picks fall outside the block of the current top scores."""
+    rng = np.random.default_rng(seed)
+    dets = []
+    for c in range(12):
+        x, y = rng.uniform(0, 300, 2)
+        w, h = rng.uniform(10, 90, 2)
+        for _ in range(30):
+            dx, dy = rng.normal(0, 0.08, 2) * (w, h)
+            sw, sh = np.exp(rng.normal(0, 0.1, 2))
+            dets.append(Detection(Box(x + dx, y + dy, x + dx + w * sw, y + dy + h * sh),
+                                  float(rng.uniform(0.01, 1.0)), c % 2))
+    return dets
+
+
+BLOCK_SETS = {
+    "random-1000-seed0": lambda: _random_detections(1000, 1, np.random.default_rng(0)),
+    "random-1000-seed1": lambda: _random_detections(1000, 1, np.random.default_rng(1)),
+    "random-2000-seed0": lambda: _random_detections(2000, 5, np.random.default_rng(0)),
+    "random-2000-seed1": lambda: _random_detections(2000, 5, np.random.default_rng(1)),
+    "one-class-B-1": lambda: _random_detections(_BLOCK - 1, 1, np.random.default_rng(2)),
+    "one-class-B": lambda: _random_detections(_BLOCK, 1, np.random.default_rng(3)),
+    "one-class-B+1": lambda: _random_detections(_BLOCK + 1, 1, np.random.default_rng(4)),
+    "one-class-2B+1": lambda: _random_detections(2 * _BLOCK + 1, 1, np.random.default_rng(5)),
+    "tied-grid": lambda: tied_grid_detections(5 * _BLOCK),
+    "clustered": lambda: clustered_detections(89),
+}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the calls `nms` makes to its overlap kernels."""
+    calls = []
+    for name in ("box_iou", "box_diou"):
+        def counted(a, b, kernel=getattr(nms, name)):
+            calls.append(a.shape)
+            return kernel(a, b)
+        monkeypatch.setattr(nms, name, counted)
+    return calls
+
+
+class TestBlockRows:
+    """Overlap rows computed in blocks give the same survivors, scores and
+    order as one row per pick, and need far fewer kernel calls."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dets", BLOCK_SETS)
+    def test_equals_per_pick_rows(self, monkeypatch, variant, dets):
+        dets = BLOCK_SETS[dets]()
+        got = VARIANTS[variant](dets)
+        monkeypatch.setattr(nms, "_suppress", per_pick_rows)
+        assert got == VARIANTS[variant](dets)
+
+    def test_sets_cover_the_block_boundary(self):
+        # the tied grid's top-_BLOCK boundary score is shared by boxes on both
+        # sides of it; soft-NMS on the clusters picks out of score order
+        scores = sorted((d.score for d in tied_grid_detections(5 * _BLOCK)), reverse=True)
+        assert scores[_BLOCK - 1] == scores[_BLOCK]
+        dets = clustered_detections(89)
+        original = {(d.box, d.class_id): d.score for d in dets}
+        before_decay = [original[(d.box, d.class_id)] for d in soft_nms(dets, 0.45)]
+        assert before_decay != sorted(before_decay, reverse=True)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK])
+    def test_class_within_one_block_makes_one_kernel_call(self, kernel_calls, variant, n):
+        VARIANTS[variant](_random_detections(n, 1, np.random.default_rng(n)))
+        assert len(kernel_calls) == 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_kernel_calls_far_below_picks(self, kernel_calls, variant):
+        out = VARIANTS[variant](_random_detections(1000, 1, np.random.default_rng(0)))
+        picks = len(out) - 1  # the last box of a class is kept without a row
+        assert len(kernel_calls) * 10 <= picks
+        assert all(shape[0] <= _BLOCK for shape in kernel_calls)
 
 
 class TestGreedy:
@@ -169,6 +294,21 @@ class TestSoft:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             soft_nms([], mode="quadratic")
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"iou_threshold": math.nan}, "iou_threshold"),
+        ({"iou_threshold": -3.0}, "iou_threshold"),
+        ({"iou_threshold": 7.0}, "iou_threshold"),
+        ({"iou_threshold": math.nan, "mode": "gaussian"}, "iou_threshold"),
+        ({"sigma": math.nan, "mode": "gaussian"}, "sigma"),
+        ({"sigma": math.inf, "mode": "gaussian"}, "sigma"),
+        ({"sigma": 0.0, "mode": "gaussian"}, "sigma"),
+        ({"sigma": -1.0, "mode": "gaussian"}, "sigma"),
+    ])
+    def test_bad_argument_named(self, kwargs, name):
+        dets = [Detection(Box(0, 0, 2, 2), 0.9, 0), Detection(Box(0, 0, 2, 2), 0.8, 0)]
+        with pytest.raises(ValueError, match=name):
+            soft_nms(dets, **kwargs)
 
     @pytest.mark.parametrize("mode", ["linear", "gaussian"])
     def test_tie_after_decay_picks_lower_input_index(self, mode):
