@@ -8,6 +8,7 @@ bit-reproducible given a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,10 +65,9 @@ def _resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return img[rows][:, cols]
 
 
-def _clip_and_filter(labels, weights, canvas_w, canvas_h,
-                     min_area_frac=MIN_AREA_FRAC):
+def _clip_and_filter(labels, weights, canvas_w, canvas_h):
     """Clip boxes to the canvas; drop a box when its clipped area falls
-    below min_area_frac of its (pre-clip) transformed area."""
+    below MIN_AREA_FRAC of its (pre-clip) transformed area."""
     out_labels, out_weights = [], []
     for (box, cid), wt in zip(labels, weights):
         x1 = min(max(box.x_min, 0.0), canvas_w)
@@ -75,7 +75,7 @@ def _clip_and_filter(labels, weights, canvas_w, canvas_h,
         x2 = min(max(box.x_max, 0.0), canvas_w)
         y2 = min(max(box.y_max, 0.0), canvas_h)
         clipped = Box(x1, y1, x2, y2)
-        if clipped.area < min_area_frac * box.area:
+        if clipped.area < MIN_AREA_FRAC * box.area:
             continue
         out_labels.append((clipped, cid))
         out_weights.append(wt)
@@ -83,7 +83,7 @@ def _clip_and_filter(labels, weights, canvas_w, canvas_h,
 
 
 def mosaic(samples: list[Sample], out_w: int, out_h: int,
-           rng: np.random.Generator, min_area_frac: float = MIN_AREA_FRAC) -> Sample:
+           rng: np.random.Generator) -> Sample:
     """Compose exactly 4 samples onto one canvas split at a random point.
 
     The split point is uniform over the central half of the canvas; each
@@ -116,8 +116,7 @@ def mosaic(samples: list[Sample], out_w: int, out_h: int,
         moved = [(Box(b.x_min * sx + qx1, b.y_min * sy + qy1,
                       b.x_max * sx + qx1, b.y_max * sy + qy1), cid)
                  for b, cid in sample.labels]
-        kept, kept_w = _clip_and_filter(moved, sample.weights, out_w, out_h,
-                                        min_area_frac)
+        kept, kept_w = _clip_and_filter(moved, sample.weights, out_w, out_h)
         labels.extend(kept)
         weights.extend(kept_w)
     return Sample(canvas, labels, weights)
@@ -226,8 +225,13 @@ def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
     rotates the HSV wheel (in turns), saturation scales the HSV S channel,
     and noise adds clamped gaussian noise. Every stage that sits at its
     identity value is skipped, so all-identity parameters return the image
-    bit-exact.
+    bit-exact. Raises ValueError naming a parameter that is not finite.
     """
+    for name, value in (("brightness", brightness), ("contrast", contrast),
+                        ("hue", hue), ("saturation", saturation),
+                        ("noise_sigma", noise_sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value}")
     img = s.image
     if brightness != 0.0:
         img = np.clip(img + brightness, 0.0, 1.0)
@@ -249,8 +253,7 @@ def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
 
 
 def geometric(s: Sample, op: str, k: float | None = None,
-              region: tuple[int, int, int, int] | None = None,
-              min_area_frac: float = MIN_AREA_FRAC) -> Sample:
+              region: tuple[int, int, int, int] | None = None) -> Sample:
     """Geometric transforms keeping pixels and boxes consistent.
 
     op is one of 'hflip', 'scale' (factor k > 0), or 'crop' (pixel region
@@ -270,8 +273,7 @@ def geometric(s: Sample, op: str, k: float | None = None,
         img = _resize_nearest(s.image, out_h, out_w)
         moved = [(Box(b.x_min * k, b.y_min * k, b.x_max * k, b.y_max * k), c)
                  for b, c in s.labels]
-        labels, weights = _clip_and_filter(moved, s.weights, out_w, out_h,
-                                           min_area_frac)
+        labels, weights = _clip_and_filter(moved, s.weights, out_w, out_h)
         return Sample(img, labels, weights)
     if op == "crop":
         if region is None:
@@ -283,8 +285,7 @@ def geometric(s: Sample, op: str, k: float | None = None,
         img = s.image[y1:y2, x1:x2].copy()
         moved = [(Box(b.x_min - x1, b.y_min - y1, b.x_max - x1, b.y_max - y1), c)
                  for b, c in s.labels]
-        labels, weights = _clip_and_filter(moved, s.weights, x2 - x1, y2 - y1,
-                                           min_area_frac)
+        labels, weights = _clip_and_filter(moved, s.weights, x2 - x1, y2 - y1)
         return Sample(img, labels, weights)
     raise ValueError(f"unknown geometric op: {op!r}")
 

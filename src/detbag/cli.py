@@ -95,18 +95,14 @@ def _evolve_anchors(shapes, seed_anchors, args, seed_scores):
 
 
 def _apply_nms(dets_by_image, args):
-    out = {}
-    for img, dets in dets_by_image.items():
-        if args.nms == "greedy":
-            out[img] = nms.greedy_nms(dets, args.nms_threshold)
-        elif args.nms == "diou":
-            out[img] = nms.diou_nms(dets, args.nms_threshold)
-        elif args.nms == "soft":
-            out[img] = nms.soft_nms(dets, args.nms_threshold, sigma=args.sigma,
-                                    mode=args.soft_mode)
-        else:
-            out[img] = list(dets)
-    return out
+    suppress = {
+        "greedy": lambda dets: nms.greedy_nms(dets, args.nms_threshold),
+        "diou": lambda dets: nms.diou_nms(dets, args.nms_threshold),
+        "soft": lambda dets: nms.soft_nms(dets, args.nms_threshold, sigma=args.sigma,
+                                          mode=args.soft_mode),
+    }[args.nms]
+    suppress([])  # runs the argument checks even when no image has detections
+    return {img: suppress(dets) for img, dets in dets_by_image.items()}
 
 
 def _format_metric(v) -> str:
@@ -165,6 +161,11 @@ def _photometric_jittered(sample, args, rng):
 
 
 def cmd_augment(args) -> int:
+    if args.op == "photometric":  # a non-finite bound overflows rng.uniform
+        for flag in ("brightness", "contrast", "hue", "saturation", "noise_sigma"):
+            value = getattr(args, flag)
+            if not math.isfinite(value):
+                raise ValueError(f"--{flag.replace('_', '-')} must be finite: {value}")
     index = ingest.load_annotations(args.annotations)
     samples = _load_samples(index, Path(args.images_dir))
     rng = np.random.default_rng(args.seed)

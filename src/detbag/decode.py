@@ -13,7 +13,7 @@ With s = 1 this reduces exactly to the classic equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class DecodeConfig:
 class Decoded:
     box: CenterBox  # pixel units
     objectness: float
-    class_probs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    class_probs: np.ndarray
 
 
 def sigmoid(x: float) -> float:

@@ -19,11 +19,10 @@ from detbag.decode import Anchor
 
 logger = logging.getLogger(__name__)
 
-# genetic-search values adopted as the seed vector defaults
-SEARCHED_LEARNING_RATE = 0.00261
-SEARCHED_MOMENTUM = 0.949
-SEARCHED_IOU_THRESHOLD = 0.213
-SEARCHED_LOSS_NORMALIZER = 0.07
+# each generation samples parents from this many top performers, and
+# mutates each entry of a child with this probability
+PARENT_POOL = 5
+MUTATION_PROB = 0.9
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,6 @@ class HyperVector:
     def __getitem__(self, name: str) -> float:
         return self.entries[name].value
 
-    def names(self) -> list[str]:
-        return list(self.entries)
-
     def values(self) -> dict[str, float]:
         return {k: e.value for k, e in self.entries.items()}
 
@@ -66,29 +62,15 @@ class HyperVector:
         return HyperVector(out)
 
 
-def default_hypervector() -> HyperVector:
-    """Seed vector carrying the genetic-search training constants."""
-    return HyperVector({
-        "learning_rate": HyperEntry(SEARCHED_LEARNING_RATE, 1e-5, 0.1),
-        "momentum": HyperEntry(SEARCHED_MOMENTUM, 0.6, 0.999, 0.05),
-        "iou_assign_threshold": HyperEntry(SEARCHED_IOU_THRESHOLD, 0.05, 0.9),
-        "loss_normalizer": HyperEntry(SEARCHED_LOSS_NORMALIZER, 0.005, 1.0),
-    })
-
-
 @dataclass(frozen=True)
 class GAConfig:
     population: int = 10
     generations: int = 50
-    parent_pool: int = 5
-    mutation_prob: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 1 or self.generations < 1 or self.parent_pool < 1:
+        if self.population < 1 or self.generations < 1:
             raise ValueError(f"population sizes must be positive: {self}")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError(f"mutation_prob outside [0, 1]: {self.mutation_prob}")
 
 
 @dataclass(frozen=True)
@@ -98,19 +80,20 @@ class GenerationStats:
     mean: float  # mean fitness of this generation's valid candidates
 
 
-def _mutate(vec: HyperVector, rng: np.random.Generator, prob: float) -> HyperVector:
+def _mutate(vec: HyperVector, rng: np.random.Generator) -> HyperVector:
     values = {}
     for name, e in vec.entries.items():
         v = e.value
-        if rng.random() < prob:
+        if rng.random() < MUTATION_PROB:
             v = v * (1.0 + rng.normal(0.0, e.mutate_scale))
         values[name] = v
     return vec.with_values(values)
 
 
-def _sample_parent(pool: list[tuple[float, HyperVector]], k: int,
+def _sample_parent(pool: list[tuple[float, HyperVector]],
                    rng: np.random.Generator) -> HyperVector:
-    ranked = heapq.nsmallest(k, range(len(pool)), key=lambda i: (-pool[i][0], i))
+    ranked = heapq.nsmallest(PARENT_POOL, range(len(pool)),
+                             key=lambda i: (-pool[i][0], i))
     fits = np.array([pool[i][0] for i in ranked])
     weights = fits - fits.min() + 1e-12
     weights /= weights.sum()
@@ -137,8 +120,8 @@ def evolve(seed: HyperVector, fitness, cfg: GAConfig = GAConfig(),
     for gen in range(1, cfg.generations + 1):
         gen_fits = []
         for _ in range(cfg.population):
-            parent = _sample_parent(pool, cfg.parent_pool, rng)
-            child = _mutate(parent, rng, cfg.mutation_prob)
+            parent = _sample_parent(pool, rng)
+            child = _mutate(parent, rng)
             f = float(fitness(child))
             if not np.isfinite(f):
                 logger.warning("discarding candidate with non-finite fitness: %s",
@@ -195,8 +178,10 @@ def anchor_recall(shapes, anchors: list[Anchor],
                   threshold: float) -> tuple[float, float]:
     """(recall at the assignment threshold, mean best IoU) of box shapes
     against a set of anchors; the desk-scale fitness behind --evolve.
-    Raises ValueError on no anchors and on shapes that are empty, not
-    (n, 2), or have a negative or NaN side."""
+    Raises ValueError on a threshold outside (0, 1), on no anchors, and on
+    shapes that are empty, not (n, 2), or have a negative or NaN side."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold outside (0, 1): {threshold}")
     if len(anchors) == 0:
         raise ValueError("anchors must not be empty")
     w, h = _shape_columns(shapes, "shapes")

@@ -1,5 +1,5 @@
 """Feature-map primitives: SPP pooling, DropBlock, point-wise attention,
-aggregation, and smooth activations with derivatives.
+and activations with derivatives.
 
 Feature maps are numpy arrays of shape (channels, height, width).
 """
@@ -13,6 +13,7 @@ import numpy as np
 from detbag.decode import sigmoid
 
 SPP_DEFAULT_KERNELS = (1, 5, 9, 13)
+LEAKY_RELU_SLOPE = 0.1
 
 
 def _check_map(f: np.ndarray, name: str = "feature map") -> np.ndarray:
@@ -105,22 +106,6 @@ def pointwise_sam(f: np.ndarray, attention_logits: np.ndarray) -> np.ndarray:
     return f * _sigmoid_array(a)
 
 
-def pan_aggregate(a: np.ndarray, b: np.ndarray, mode: str = "concat") -> np.ndarray:
-    """Aggregate two maps: elementwise 'add' or channel 'concat'."""
-    a = _check_map(a)
-    b = _check_map(b)
-    if mode == "add":
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch for add: {a.shape} vs {b.shape}")
-        return a + b
-    if mode == "concat":
-        if a.shape[1:] != b.shape[1:]:
-            raise ValueError(
-                f"spatial mismatch for concat: {a.shape} vs {b.shape}")
-        return np.concatenate([a, b], axis=0)
-    raise ValueError(f"unknown aggregation mode: {mode!r}")
-
-
 def _softplus(x: float) -> float:
     # exact: for x > 0, ln(1+e^x) = x + ln(1+e^-x); keeps exp() underflowing
     if x > 0.0:
@@ -128,13 +113,12 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def activation(x: float, kind: str = "mish", alpha: float = 0.1,
-               ) -> tuple[float, float]:
+def activation(x: float, kind: str = "mish") -> tuple[float, float]:
     """Value and analytic derivative of an activation function.
 
     mish(x) = x * tanh(softplus(x)); swish(x) = x * sigmoid(x);
-    leaky_relu(x) = x for x >= 0 else alpha * x. All are overflow-safe for
-    |x| at least up to 1e4.
+    leaky_relu(x) = x for x >= 0 else LEAKY_RELU_SLOPE * x. All are
+    overflow-safe for |x| at least up to 1e4.
     """
     if not math.isfinite(x):
         raise ValueError(f"non-finite input: {x}")
@@ -147,5 +131,5 @@ def activation(x: float, kind: str = "mish", alpha: float = 0.1,
     if kind == "leaky_relu":
         if x >= 0.0:
             return x, 1.0
-        return alpha * x, alpha
+        return LEAKY_RELU_SLOPE * x, LEAKY_RELU_SLOPE
     raise ValueError(f"unknown activation kind: {kind!r}")

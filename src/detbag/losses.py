@@ -177,17 +177,3 @@ def label_smooth(onehot: np.ndarray, epsilon: float) -> np.ndarray:
     if not np.isfinite(p).all():
         raise ValueError("onehot has a non-finite entry")
     return p * (1.0 - epsilon) + epsilon / p.shape[-1]
-
-
-def loss_normalize(raw_loss: float, normalizer: float) -> float:
-    """Scale a raw loss by a positive normalizer (searched default 0.07).
-
-    Raises ValueError on a normalizer that is not positive and finite, and
-    on a raw loss that is not finite or whose scaled value overflows.
-    """
-    if not 0.0 < normalizer < math.inf:
-        raise ValueError(f"normalizer must be positive and finite: {normalizer}")
-    out = raw_loss * normalizer
-    if not math.isfinite(out):
-        raise ValueError(f"raw_loss must be finite and scale to a finite loss: {raw_loss}")
-    return out

@@ -1,8 +1,8 @@
-"""Training dynamics: LR schedules, dynamic mini-batch sizing, and
-cross-mini-batch normalization statistics.
+"""Training dynamics: LR schedules and cross-mini-batch normalization
+statistics.
 
-Detector-side training defaults live here: initial LR 0.01 decayed by 0.1
-at steps 400k and 450k, momentum 0.9, weight decay 0.0005.
+The step schedule's defaults live here: initial LR 0.01 decayed by 0.1 at
+steps 400k and 450k.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 DEFAULT_INITIAL_LR = 0.01
 DEFAULT_MILESTONES = (400_000, 450_000)
 DEFAULT_DECAY_FACTOR = 0.1
-DEFAULT_MOMENTUM = 0.9
-DEFAULT_WEIGHT_DECAY = 0.0005
 
 
 def cosine_lr(t: int, total_steps: int, lr_max: float, lr_min: float = 0.0) -> float:
@@ -36,23 +34,6 @@ def step_decay_lr(t: int, milestones: tuple[int, ...] = DEFAULT_MILESTONES,
         raise ValueError(f"milestones must be sorted: {milestones}")
     passed = sum(1 for m in milestones if m <= t)
     return lr0 * factor**passed
-
-
-def dynamic_minibatch(base_mb: int, base_res: int, current_res: int) -> int:
-    """Mini-batch size that fills the same memory at a smaller resolution.
-
-    Activation memory scales quadratically with resolution, so training at
-    current_res < base_res fits floor(base_mb * (base_res/current_res)^2)
-    samples in the budget that base_mb occupies at base_res. Never returns
-    less than base_mb.
-    """
-    for name, res in (("base_res", base_res), ("current_res", current_res)):
-        if res <= 0 or res % 32 != 0:
-            raise ValueError(f"{name} must be a positive multiple of 32: {res}")
-    if base_mb < 1:
-        raise ValueError(f"base_mb must be positive: {base_mb}")
-    scaled = math.floor(base_mb * (base_res / current_res) ** 2)
-    return max(scaled, base_mb)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import colorsys
+import math
 
 import numpy as np
 import pytest
@@ -199,6 +200,13 @@ class TestPhotometric:
         out = photometric(Sample(solid(4, 4, 0.99)), noise_sigma=0.5,
                           rng=np.random.default_rng(0))
         assert out.image.min() >= 0.0 and out.image.max() <= 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["brightness", "contrast", "hue", "saturation",
+                                      "noise_sigma"])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            photometric(self.sample(), rng=np.random.default_rng(0), **{name: value})
 
     def test_labels_untouched(self):
         s = self.sample()

@@ -113,6 +113,14 @@ class TestOptimizeAnchors:
         assert history[1][2] is None
         assert isinstance(history[2][2], float)
 
+    @pytest.mark.parametrize("threshold", ["nan", "1.5"])
+    def test_bad_threshold_fails_cleanly(self, tmp_path, capsys, threshold):
+        ann = write_dataset(tmp_path, [[[0, 0, 10, 20]]] * 6, image_size=(512, 512))
+        code, out, err = run(capsys, "optimize-anchors", str(ann), "--k", "1",
+                             "--threshold", threshold)
+        assert code == 1 and out == ""
+        assert err.startswith("error: threshold ") and "Traceback" not in err
+
     def test_boxes_rescaled_to_resolution(self, tmp_path, capsys):
         # a 64x64 image upscaled to resolution 512 stretches boxes by 8
         ann = write_dataset(tmp_path, [[[0, 0, 8, 4]]] * 3, image_size=(64, 64))
@@ -161,16 +169,23 @@ class TestEval:
         assert json.loads(out_diou)["AP"] >= json.loads(out_greedy)["AP"]
         assert json.loads(out_diou)["AP"] == 1.0
 
-    @pytest.mark.parametrize("extra,name", [
-        (("--nms-threshold", "nan"), "iou_threshold"),
-        (("--nms-threshold", "7.0"), "iou_threshold"),
-        (("--soft-mode", "gaussian", "--sigma", "nan"), "sigma"),
-    ], ids=["nan-threshold", "threshold-above-one", "nan-sigma"])
-    def test_bad_soft_nms_argument_fails_cleanly(self, tmp_path, capsys, extra, name):
+    # the arguments are checked even when no image has a detection
+    @pytest.mark.parametrize("extra,name,n_dets", [
+        (("--nms", "soft", "--nms-threshold", "nan"), "iou_threshold", 1),
+        (("--nms", "soft", "--nms-threshold", "7.0"), "iou_threshold", 1),
+        (("--nms", "soft", "--soft-mode", "gaussian", "--sigma", "nan"), "sigma", 1),
+        (("--nms", "soft", "--nms-threshold", "nan"), "iou_threshold", 0),
+        (("--nms", "greedy", "--nms-threshold", "7.0"), "iou_threshold", 0),
+        (("--nms", "diou", "--nms-threshold", "-3"), "threshold", 0),
+    ], ids=["nan-threshold", "threshold-above-one", "nan-sigma", "no-detections",
+            "greedy-threshold-above-one", "diou-threshold-below-minus-one"])
+    def test_bad_soft_nms_argument_fails_cleanly(self, tmp_path, capsys, extra, name,
+                                                 n_dets):
         ann = write_dataset(tmp_path, [[[10, 10, 40, 40]]])
         dets = write_detections(tmp_path, [
-            {"image_id": 1, "category_id": 1, "bbox": [10, 10, 40, 40], "score": 0.9}])
-        code, out, err = run(capsys, "eval", str(dets), str(ann), "--nms", "soft", *extra)
+            {"image_id": 1, "category_id": 1, "bbox": [10, 10, 40, 40], "score": 0.9}
+        ][:n_dets])
+        code, out, err = run(capsys, "eval", str(dets), str(ann), *extra)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {name} ") and "Traceback" not in err
 
@@ -294,6 +309,20 @@ class TestAugment:
         assert code == 0, err
         blurred = load_annotations(tmp_path / "blurred" / "annotations.json")
         assert [a.weight for a in blurred.annotations] == weights
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--brightness", "nan"), ("--contrast", "inf"), ("--hue", "inf"),
+        ("--saturation", "nan"), ("--noise-sigma", "nan")])
+    def test_non_finite_jitter_flag_fails_cleanly(self, tmp_path, capsys, flag, value):
+        ann = write_dataset(tmp_path, [[[8, 8, 16, 12]]] * 2, image_size=(32, 32),
+                            with_images=True, rng=np.random.default_rng(3))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "augment", str(ann), str(tmp_path),
+                             "--op", "photometric", "--out-dir", str(out_dir),
+                             flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} must be finite: {float(value)}\n"
+        assert not out_dir.exists()
 
     def test_missing_images_listed(self, tmp_path, capsys):
         ann = write_dataset(tmp_path, [[[8, 8, 16, 12]]] * 2,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detbag.featuremap import (SPP_DEFAULT_KERNELS, activation, dropblock_mask,
-                               max_pool_same, pan_aggregate, pointwise_sam, spp)
+                               max_pool_same, pointwise_sam, spp)
 
 
 def naive_max_pool(f, k):
@@ -133,31 +133,6 @@ class TestPointwiseSam:
             pointwise_sam(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
 
 
-class TestPanAggregate:
-    def test_concat_channels(self):
-        out = pan_aggregate(np.zeros((2, 4, 4)), np.zeros((3, 4, 4)), "concat")
-        assert out.shape == (5, 4, 4)
-
-    def test_add_zero_identity(self):
-        rng = np.random.default_rng(149)
-        f = rng.normal(size=(3, 4, 4))
-        assert np.array_equal(pan_aggregate(f, np.zeros_like(f), "add"), f)
-
-    def test_concat_slices_recover_inputs(self):
-        rng = np.random.default_rng(151)
-        a = rng.normal(size=(2, 4, 4))
-        b = rng.normal(size=(3, 4, 4))
-        out = pan_aggregate(a, b, "concat")
-        assert np.array_equal(out[:2], a)
-        assert np.array_equal(out[2:], b)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            pan_aggregate(np.zeros((2, 4, 4)), np.zeros((2, 5, 4)), "add")
-        with pytest.raises(ValueError):
-            pan_aggregate(np.zeros((2, 4, 4)), np.zeros((2, 5, 4)), "concat")
-
-
 def fd_derivative(kind, x, h=1e-6):
     hi, _ = activation(x + h, kind)
     lo, _ = activation(x - h, kind)
@@ -206,8 +181,8 @@ class TestActivations:
             assert math.isfinite(value) and math.isfinite(deriv)
 
     def test_leaky_relu(self):
-        assert activation(3.0, "leaky_relu", alpha=0.1) == (3.0, 1.0)
-        assert activation(-2.0, "leaky_relu", alpha=0.1) == (-0.2, 0.1)
+        assert activation(3.0, "leaky_relu") == (3.0, 1.0)
+        assert activation(-2.0, "leaky_relu") == (-0.2, 0.1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detbag.geometry import CenterBox
-from detbag.losses import BoxLossResult, LossVariant, box_loss, label_smooth, loss_normalize
+from detbag.losses import BoxLossResult, LossVariant, box_loss, label_smooth
 
 VARIANTS = ("mse", "iou", "giou", "diou", "ciou")
 IOU_FAMILY = (LossVariant.IOU, LossVariant.GIOU, LossVariant.DIOU, LossVariant.CIOU)
@@ -301,26 +301,3 @@ class TestLabelSmooth:
     def test_bad_onehot_rejected(self, onehot, match):
         with pytest.raises(ValueError, match=match):
             label_smooth(onehot, 0.1)
-
-
-class TestLossNormalize:
-    def test_searched_default(self):
-        assert loss_normalize(1.0, 0.07) == pytest.approx(0.07)
-
-    def test_identity_and_zero(self):
-        assert loss_normalize(3.25, 1.0) == 3.25
-        assert loss_normalize(0.0, 0.5) == 0.0
-
-    def test_nonpositive_normalizer_rejected(self):
-        with pytest.raises(ValueError):
-            loss_normalize(1.0, 0.0)
-        with pytest.raises(ValueError):
-            loss_normalize(1.0, -2.0)
-
-    @pytest.mark.parametrize("raw,normalizer,match", [
-        (1.0, math.nan, "normalizer"), (1.0, math.inf, "normalizer"),
-        (math.nan, 0.07, "raw_loss"), (math.inf, 0.07, "raw_loss"),
-        (-math.inf, 1.0, "raw_loss"), (1e308, 10.0, "raw_loss")])
-    def test_non_finite_rejected(self, raw, normalizer, match):
-        with pytest.raises(ValueError, match=match):
-            loss_normalize(raw, normalizer)

@@ -3,7 +3,7 @@ import pytest
 
 from detbag.trainsched import (DEFAULT_DECAY_FACTOR, DEFAULT_INITIAL_LR,
                                DEFAULT_MILESTONES, CmBNAccumulator, cosine_lr,
-                               dynamic_minibatch, step_decay_lr)
+                               step_decay_lr)
 
 
 class TestCosine:
@@ -46,26 +46,6 @@ class TestStepDecay:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             step_decay_lr(0, (20, 10), 1.0, 0.1)
-
-
-class TestDynamicMinibatch:
-    def test_same_resolution_identity(self):
-        for r in (320, 512, 608):
-            assert dynamic_minibatch(8, r, r) == 8
-
-    def test_small_resolution_grows(self):
-        assert dynamic_minibatch(8, 608, 320) == 28
-
-    def test_never_shrinks_below_base(self):
-        assert dynamic_minibatch(8, 416, 608) == 8
-
-    def test_resolution_validated(self):
-        with pytest.raises(ValueError):
-            dynamic_minibatch(8, 600, 320)
-        with pytest.raises(ValueError):
-            dynamic_minibatch(8, 608, 0)
-        with pytest.raises(ValueError):
-            dynamic_minibatch(0, 608, 320)
 
 
 class TestCmBN:
