@@ -161,11 +161,13 @@ def _photometric_jittered(sample, args, rng):
 
 
 def cmd_augment(args) -> int:
-    if args.op == "photometric":  # a non-finite bound overflows rng.uniform
+    if args.op == "photometric":  # rng.uniform overflows unless high - low is finite
         for flag in ("brightness", "contrast", "hue", "saturation", "noise_sigma"):
-            value = getattr(args, flag)
+            value, name = getattr(args, flag), flag.replace("_", "-")
             if not math.isfinite(value):
-                raise ValueError(f"--{flag.replace('_', '-')} must be finite: {value}")
+                raise ValueError(f"--{name} must be finite: {value}")
+            if flag != "noise_sigma" and not math.isfinite(2.0 * value):
+                raise ValueError(f"--{name} draws from a range 2 * {value} wide, which overflows")
     index = ingest.load_annotations(args.annotations)
     samples = _load_samples(index, Path(args.images_dir))
     rng = np.random.default_rng(args.seed)

@@ -18,7 +18,7 @@ import numpy as np
 
 from detbag.geometry import Box, box_area, box_iou, corners
 from detbag.ingest import all_numbers, int_field
-from detbag.nms import Detection
+from detbag.nms import Detection, detection_arrays
 
 IOU_THRESHOLDS = tuple(np.round(np.linspace(0.5, 0.95, 10), 2))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
@@ -146,50 +146,37 @@ def evaluate(dets: Mapping[int, Sequence[Detection]],
     if unknown:
         raise ValueError(f"detections reference unknown image ids: {sorted(unknown)}")
 
-    # class -> image -> (truth boxes, det boxes, det scores, det submission order)
-    classes: dict[int, dict[int, tuple[list, list, list, list]]] = {}
-    for img, labeled in truths.items():
-        for box, cid in labeled:
-            classes.setdefault(cid, {}).setdefault(img, ([], [], [], []))[0].append(box)
-    order = 0
-    for img in sorted(dets):
-        for det in dets[img]:
-            group = classes.setdefault(det.class_id, {}).setdefault(img, ([], [], [], []))
-            group[1].append(det.box)
-            group[2].append(det.score)
-            group[3].append(order)
-            order += 1
+    image = {img: i for i, img in enumerate(truths)}
+    labeled = [(image[img], box, cid) for img, boxes in truths.items() for box, cid in boxes]
+    t_img = np.array([i for i, _, _ in labeled], dtype=int)
+    tc = corners(box for _, box, _ in labeled)
+    t_cls = np.array([cid for _, _, cid in labeled])
+    submitted = [(image[img], d) for img in sorted(dets) for d in dets[img]]
+    d_img = np.array([i for i, _ in submitted], dtype=int)
+    dc, scores, d_cls = detection_arrays([d for _, d in submitted])
+    t_in, d_in = _bucket_masks(tc), _bucket_masks(dc)
+    ranked = np.argsort(-scores, kind="stable")  # (-score, submission) order
 
     # ap[bucket][threshold] = list of per-class APs
     per_class: dict[str, dict[float, list[float]]] = {
         b: {t: [] for t in IOU_THRESHOLDS} for b in _BUCKETS}
-    for groups in classes.values():
-        n_pos = np.zeros(len(_BUCKETS), dtype=int)
-        scores, orders, tps, counts = [], [], [], []
-        for truth_boxes, det_boxes, det_scores, det_orders in groups.values():
-            tc = corners(truth_boxes)
-            truth_in = _bucket_masks(tc)
-            n_pos += truth_in.sum(axis=1)
-            if not det_boxes:
-                continue
-            # the image's slice of the class's global (-score, order) order
-            s = np.array(det_scores)
-            by_score = np.argsort(-s, kind="stable")
-            dc = corners(det_boxes)[by_score]
-            tp, counted = _match(box_iou(dc[:, None], tc[None, :]), truth_in,
-                                 _bucket_masks(dc))
-            scores.append(s[by_score])
-            orders.append(np.array(det_orders)[by_score])
-            tps.append(tp)
-            counts.append(counted)
+    for cid in dict.fromkeys(t_cls.tolist() + d_cls.tolist()):
+        tk = np.flatnonzero(t_cls == cid)  # grouped by image: t_img never decreases
+        n_pos = t_in[:, tk].sum(axis=1)
         if not n_pos.any():
             continue
-        if scores:
-            merged = np.lexsort((np.concatenate(orders), -np.concatenate(scores)))
-            tp = np.concatenate(tps, axis=2)[:, :, merged]
-            counted = np.concatenate(counts, axis=2)[:, :, merged]
-        else:
-            tp = counted = np.zeros((len(_BUCKETS), len(_THRESHOLDS), 0), dtype=bool)
+        dk = ranked[d_cls[ranked] == cid]
+        # the class's rank positions grouped by image, each image's in rank order
+        by_img = np.argsort(d_img[dk], kind="stable")
+        imgs, starts = np.unique(d_img[dk[by_img]], return_index=True)
+        lo = np.searchsorted(t_img[tk], imgs, side="left")
+        hi = np.searchsorted(t_img[tk], imgs, side="right")
+        tp = np.zeros((len(_BUCKETS), len(_THRESHOLDS), dk.size), dtype=bool)
+        counted = np.zeros_like(tp)
+        for rows, first, last in zip(np.split(by_img, starts[1:]), lo, hi):
+            di, ti = dk[rows], tk[first:last]
+            tp[:, :, rows], counted[:, :, rows] = _match(
+                box_iou(dc[di][:, None], tc[ti][None, :]), t_in[:, ti], d_in[:, di])
         for b, bucket in enumerate(_BUCKETS):
             if n_pos[b] == 0:
                 continue

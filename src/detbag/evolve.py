@@ -199,8 +199,8 @@ class KMeansResult:
     distance_per_iteration: list[float] = field(default_factory=list)
 
 
-def kmeans_anchors(boxes, k: int, iters: int = 100,
-                   rng: np.random.Generator | None = None) -> KMeansResult:
+def kmeans_anchors(boxes, k: int, iters: int = 100, *,
+                   rng: np.random.Generator) -> KMeansResult:
     """Cluster (w, h) box shapes into k anchors.
 
     Distance is 1 - IoU of concentric shapes; centroids update to the
@@ -219,7 +219,6 @@ def kmeans_anchors(boxes, k: int, iters: int = 100,
     distinct = np.unique(shapes, axis=0)
     if k < 1 or k > len(distinct):
         raise ValueError(f"k={k} but only {len(distinct)} distinct shapes")
-    rng = rng if rng is not None else np.random.default_rng(0)
 
     centroids = distinct[rng.choice(len(distinct), size=k, replace=False)].copy()
     best_centroids = centroids.copy()

@@ -14,7 +14,7 @@ import numpy as np
 
 from detbag.geometry import Box, box_diou, box_iou, corners
 
-DEFAULT_SCORE_FLOOR = 0.001
+SCORE_FLOOR = 0.001
 _BLOCK = 32  # overlap rows per kernel call in _suppress
 
 
@@ -31,6 +31,12 @@ class Detection:
             raise ValueError(f"score outside [0, 1]: {self.score}")
         if self.class_id < 0:
             raise ValueError(f"negative class id: {self.class_id}")
+
+
+def detection_arrays(dets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, 4) corners, scores and class ids of a detection list."""
+    return (corners(d.box for d in dets), np.array([d.score for d in dets], dtype=float),
+            np.array([d.class_id for d in dets]))
 
 
 def _suppress(dets: list[Detection], overlap, rule) -> list[tuple[float, int]]:
@@ -51,9 +57,7 @@ def _suppress(dets: list[Detection], overlap, rule) -> list[tuple[float, int]]:
     """
     if not dets:
         return []
-    boxes = corners(d.box for d in dets)
-    scores = np.array([d.score for d in dets], dtype=float)
-    labels = np.array([d.class_id for d in dets])
+    boxes, scores, labels = detection_arrays(dets)
     out: list[tuple[float, int]] = []
     for cid in dict.fromkeys(labels.tolist()):
         # live: the class's live set, as input indices, when the last block
@@ -119,13 +123,12 @@ def diou_nms(dets: list[Detection], threshold: float = 0.45) -> list[Detection]:
 
 
 def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
-             sigma: float = 0.5, score_floor: float = DEFAULT_SCORE_FLOOR,
-             mode: str = "linear") -> list[Detection]:
+             sigma: float = 0.5, mode: str = "linear") -> list[Detection]:
     """Soft NMS: decay overlapping same-class scores instead of discarding.
 
     linear mode rescores s' = s * (1 - iou) only when iou exceeds the
     threshold; gaussian mode rescores s' = s * exp(-iou^2 / sigma) for every
-    pair. Detections whose decayed score falls below score_floor are
+    pair. Detections whose decayed score falls below `SCORE_FLOOR` are
     dropped. Output carries the decayed scores, sorted descending.
     """
     if mode not in ("linear", "gaussian"):
@@ -134,17 +137,15 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
         raise ValueError(f"iou_threshold outside [0, 1]: {iou_threshold}")
     if mode == "gaussian" and not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive: {sigma}")
-    if not 0.0 <= score_floor < 1.0:
-        raise ValueError(f"score_floor outside [0, 1): {score_floor}")
 
     if mode == "linear":
         def decay(overlap, scores):
             scores = scores * np.where(overlap > iou_threshold, 1.0 - overlap, 1.0)
-            return scores >= score_floor, scores
+            return scores >= SCORE_FLOOR, scores
     else:
         def decay(overlap, scores):
             scores = scores * np.exp(-(overlap * overlap) / sigma)
-            return scores >= score_floor, scores
+            return scores >= SCORE_FLOOR, scores
 
     kept = _suppress(dets, box_iou, decay)
     return [Detection(dets[i].box, s, dets[i].class_id) for s, i in kept]

@@ -312,7 +312,10 @@ class TestAugment:
 
     @pytest.mark.parametrize("flag,value", [
         ("--brightness", "nan"), ("--contrast", "inf"), ("--hue", "inf"),
-        ("--saturation", "nan"), ("--noise-sigma", "nan")])
+        ("--saturation", "nan"), ("--noise-sigma", "nan"),
+        # finite, but the draw range 2 * value overflows
+        ("--brightness", "1e308"), ("--contrast", "1e308"), ("--hue", "1e308"),
+        ("--saturation", "9e307")])
     def test_non_finite_jitter_flag_fails_cleanly(self, tmp_path, capsys, flag, value):
         ann = write_dataset(tmp_path, [[[8, 8, 16, 12]]] * 2, image_size=(32, 32),
                             with_images=True, rng=np.random.default_rng(3))
@@ -321,7 +324,11 @@ class TestAugment:
                              "--op", "photometric", "--out-dir", str(out_dir),
                              flag, value)
         assert code == 1 and out == ""
-        assert err == f"error: {flag} must be finite: {float(value)}\n"
+        v = float(value)
+        if math.isfinite(v):
+            assert err == f"error: {flag} draws from a range 2 * {v} wide, which overflows\n"
+        else:
+            assert err == f"error: {flag} must be finite: {v}\n"
         assert not out_dir.exists()
 
     def test_missing_images_listed(self, tmp_path, capsys):

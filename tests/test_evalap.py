@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detbag.evalap import EvalResult, evaluate, parse_coco_detections
-from detbag.geometry import Box
+from detbag.evalap import (_BUCKETS, IOU_THRESHOLDS, EvalResult, _bucket_masks,
+                           _curve_ap, _match, evaluate, parse_coco_detections)
+from detbag.geometry import Box, box_iou, corners
 from detbag.nms import Detection
 
 
@@ -97,6 +98,77 @@ def reference_evaluate(dets, truths):
         "AP_M": mean_ap("medium", thresholds),
         "AP_L": mean_ap("large", thresholds),
     }
+
+
+def per_group_evaluate(dets, truths):
+    """`evaluate` as it was before ranking detections once: a dict of lists
+    per (class, image) group, each group matched on its own and each class
+    merged back into (-score, submission) order with a lexsort. Kept as the
+    bit-exact oracle for the one-pass `evaluate`."""
+    unknown = set(dets) - set(truths)
+    if unknown:
+        raise ValueError(f"detections reference unknown image ids: {sorted(unknown)}")
+
+    # class -> image -> (truth boxes, det boxes, det scores, det submission order)
+    classes = {}
+    for img, labeled in truths.items():
+        for box, cid in labeled:
+            classes.setdefault(cid, {}).setdefault(img, ([], [], [], []))[0].append(box)
+    order = 0
+    for img in sorted(dets):
+        for d in dets[img]:
+            group = classes.setdefault(d.class_id, {}).setdefault(img, ([], [], [], []))
+            group[1].append(d.box)
+            group[2].append(d.score)
+            group[3].append(order)
+            order += 1
+
+    per_class = {b: {t: [] for t in IOU_THRESHOLDS} for b in _BUCKETS}
+    for groups in classes.values():
+        n_pos = np.zeros(len(_BUCKETS), dtype=int)
+        scores, orders, tps, counts = [], [], [], []
+        for truth_boxes, det_boxes, det_scores, det_orders in groups.values():
+            tc = corners(truth_boxes)
+            truth_in = _bucket_masks(tc)
+            n_pos += truth_in.sum(axis=1)
+            if not det_boxes:
+                continue
+            s = np.array(det_scores)
+            by_score = np.argsort(-s, kind="stable")
+            dc = corners(det_boxes)[by_score]
+            tp, counted = _match(box_iou(dc[:, None], tc[None, :]), truth_in,
+                                 _bucket_masks(dc))
+            scores.append(s[by_score])
+            orders.append(np.array(det_orders)[by_score])
+            tps.append(tp)
+            counts.append(counted)
+        if not n_pos.any():
+            continue
+        if scores:
+            merged = np.lexsort((np.concatenate(orders), -np.concatenate(scores)))
+            tp = np.concatenate(tps, axis=2)[:, :, merged]
+            counted = np.concatenate(counts, axis=2)[:, :, merged]
+        else:
+            tp = counted = np.zeros((len(_BUCKETS), len(IOU_THRESHOLDS), 0), dtype=bool)
+        for b, bucket in enumerate(_BUCKETS):
+            if n_pos[b] == 0:
+                continue
+            for t, thr in enumerate(IOU_THRESHOLDS):
+                per_class[bucket][thr].append(
+                    _curve_ap(tp[b, t], counted[b, t], int(n_pos[b])))
+
+    def bucket_mean(bucket, thresholds=IOU_THRESHOLDS):
+        vals = [v for t in thresholds for v in per_class[bucket][t]]
+        return float(np.mean(vals)) if vals else None
+
+    return EvalResult(
+        ap=bucket_mean("all"),
+        ap50=bucket_mean("all", (IOU_THRESHOLDS[0],)),
+        ap75=bucket_mean("all", (IOU_THRESHOLDS[5],)),
+        ap_small=bucket_mean("small"),
+        ap_medium=bucket_mean("medium"),
+        ap_large=bucket_mean("large"),
+    )
 
 
 def det(x, y, w, h, score, cid=1):
@@ -217,34 +289,80 @@ class TestTieRules:
         assert evaluate({1: [medium_fp, match]}, truths).ap_medium == pytest.approx(0.5)
 
 
+def crowded_set(seed, n_images=3, classes=3):
+    """Pairs of truths overlapping by about half their width, each with 30
+    jittered detections, a tenth of them relabeled to a random class."""
+    rng = np.random.default_rng(seed)
+    truths, dets = {}, {}
+    for img in range(1, n_images + 1):
+        truths[img], dets[img] = [], []
+        for t in range(6):
+            if t % 2:
+                x0, y0, w0, h0 = prev
+                x, y, w, h = x0 + 0.5 * w0, y0 + rng.uniform(-5, 5), w0, h0
+            else:
+                w, h = np.exp(rng.uniform(np.log(10), np.log(150), 2))
+                x, y = rng.uniform(0, 400, 2)
+            prev = (x, y, w, h)
+            cid = 1 + t // 2 % classes
+            truths[img].append(label(x, y, w, h, cid))
+            for _ in range(30):
+                dx, dy = rng.normal(0, 0.1, 2) * (w, h)
+                sw, sh = np.exp(rng.normal(0, 0.1, 2))
+                score = float(rng.choice([0.3, 0.6, rng.uniform(0, 1)]))
+                dets[img].append(det(x + dx, y + dy, w * sw, h * sh, score,
+                                     cid if rng.random() > 0.1
+                                     else int(rng.integers(1, classes + 1))))
+    return dets, truths
+
+
 class TestCrowded:
     def test_matches_reference(self):
-        rng = np.random.default_rng(61)
-        truths, dets = {}, {}
-        for img in (1, 2, 3):
-            truths[img], dets[img] = [], []
-            for t in range(6):
-                # pairs of truths overlapping by about half their width
-                if t % 2:
-                    x0, y0, w0, h0 = prev
-                    x, y, w, h = x0 + 0.5 * w0, y0 + rng.uniform(-5, 5), w0, h0
-                else:
-                    w, h = np.exp(rng.uniform(np.log(10), np.log(150), 2))
-                    x, y = rng.uniform(0, 400, 2)
-                prev = (x, y, w, h)
-                cid = 1 + t // 2 % 3
-                truths[img].append(label(x, y, w, h, cid))
-                for _ in range(30):
-                    dx, dy = rng.normal(0, 0.1, 2) * (w, h)
-                    sw, sh = np.exp(rng.normal(0, 0.1, 2))
-                    score = float(rng.choice([0.3, 0.6, rng.uniform(0, 1)]))
-                    dets[img].append(det(x + dx, y + dy, w * sw, h * sh, score,
-                                         cid if rng.random() > 0.1 else int(rng.integers(1, 4))))
+        dets, truths = crowded_set(61)
         got = evaluate(dets, truths).as_dict()
         want = reference_evaluate(dets, truths)
         assert set(got) == set(want)
         for key in want:
             assert got[key] == pytest.approx(want[key], abs=1e-9), key
+
+
+def _oracle_sets():
+    synthetic = TestAgainstReference().synthetic
+    many_dets, many_truths = synthetic(7, n_images=200, n_truth=1500, n_det=3000, classes=10)
+    tied = {img: [Detection(d.box, round(d.score, 1), d.class_id) for d in ds]
+            for img, ds in many_dets.items()}
+    truths = {1: [label(10, 10, 40, 40, 1), label(60, 10, 20, 20, 1)],
+              2: [label(10, 10, 40, 40, 2)], 3: [label(0, 0, 150, 150, 1)],
+              4: [label(5, 5, 10, 10, 2)]}
+    return {
+        "crowded": crowded_set(61),
+        "crowded-20-images": crowded_set(67, n_images=20, classes=5),
+        "200-images-10-classes": (many_dets, many_truths),
+        "200-images-10-classes-tied-scores": (tied, many_truths),
+        # class 2 has detections in image 1, whose truths are all class 1
+        "dets-without-truths-of-class": (
+            {1: [det(10, 10, 40, 40, 0.9, 1), det(10, 10, 40, 40, 0.8, 2)],
+             2: [det(11, 10, 40, 40, 0.7, 2)]}, truths),
+        "class-with-dets-only": (
+            {1: [det(10, 10, 40, 40, 0.9, 1), det(60, 10, 20, 20, 0.95, 9)],
+             3: [det(0, 0, 140, 150, 0.4, 9), det(1, 0, 150, 150, 0.5, 1)]}, truths),
+        "truths-without-dets": ({2: [det(10, 12, 40, 40, 0.6, 2)]}, truths),
+        "equal-scores-across-images": (
+            {img: [det(10, 10, 40, 40, 0.5, 1), det(10, 10, 40, 40, 0.5, 2),
+                   det(0, 0, 150, 150, 0.5, 1), det(5, 5, 10, 10, 0.5, 2)]
+             for img in (4, 3, 2, 1)}, truths),
+        "no-dets": ({}, truths),
+        "no-truths": ({1: [det(10, 10, 40, 40, 0.9)]}, {1: [], 2: []}),
+    }
+
+
+ORACLE_SETS = _oracle_sets()
+
+
+class TestPerGroupOracle:
+    @pytest.mark.parametrize("dets,truths", ORACLE_SETS.values(), ids=ORACLE_SETS.keys())
+    def test_equals_per_group_evaluate(self, dets, truths):
+        assert evaluate(dets, truths).as_dict() == per_group_evaluate(dets, truths).as_dict()
 
 
 class TestInvariants:

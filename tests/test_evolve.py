@@ -312,7 +312,7 @@ class TestKMeansAnchors:
         assert all(a >= b for a, b in zip(d, d[1:]))
 
     def test_identical_boxes_k1(self):
-        res = kmeans_anchors([(12.0, 20.0)] * 50, 1)
+        res = kmeans_anchors([(12.0, 20.0)] * 50, 1, rng=np.random.default_rng(0))
         assert (res.anchors[0].w, res.anchors[0].h) == (12.0, 20.0)
         assert res.mean_best_iou == pytest.approx(1.0)
 
@@ -366,9 +366,10 @@ class TestKMeansAnchors:
         assert isinstance(res, KMeansResult)
 
     def test_validation(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            kmeans_anchors([], 1)
+            kmeans_anchors([], 1, rng=rng)
         with pytest.raises(ValueError):
-            kmeans_anchors([(1.0, 1.0)] * 5, 2)  # only one distinct shape
+            kmeans_anchors([(1.0, 1.0)] * 5, 2, rng=rng)  # only one distinct shape
         with pytest.raises(ValueError):
-            kmeans_anchors([(0.0, 1.0)], 1)
+            kmeans_anchors([(0.0, 1.0)], 1, rng=rng)

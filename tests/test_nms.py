@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from detbag import nms
 from detbag.geometry import Box, corners, diou, iou
-from detbag.nms import _BLOCK, Detection, diou_nms, greedy_nms, soft_nms
+from detbag.nms import _BLOCK, SCORE_FLOOR, Detection, diou_nms, greedy_nms, soft_nms
 
 
 def brute_force_greedy(dets, threshold, overlap=iou):
@@ -265,14 +265,15 @@ class TestSoft:
     def test_linear_decay_value(self):
         a = Detection(Box(0, 0, 2, 2), 0.9, 0)
         b = Detection(Box(0, 0.5, 2, 2.5), 0.8, 0)  # iou 0.6 > 0.5
-        out = soft_nms([a, b], 0.5, mode="linear", score_floor=0.0)
+        out = soft_nms([a, b], 0.5, mode="linear")
         assert out[0] == a
         assert out[1].score == pytest.approx(0.8 * (1 - 0.6))
 
     def test_gaussian_huge_sigma_no_decay(self):
         rng = np.random.default_rng(53)
         dets = random_detections(rng, 50, classes=2)
-        out = soft_nms(dets, 0.5, sigma=1e9, mode="gaussian", score_floor=0.0)
+        assert min(d.score for d in dets) > SCORE_FLOOR
+        out = soft_nms(dets, 0.5, sigma=1e9, mode="gaussian")
         assert len(out) == len(dets)
         for got, want in zip(out, sorted(dets, key=lambda d: -d.score)):
             assert abs(got.score - want.score) < 1e-6
@@ -288,7 +289,7 @@ class TestSoft:
     def test_score_floor_drops(self):
         a = Detection(Box(0, 0, 2, 2), 0.9, 0)
         b = Detection(Box(0, 0, 2, 2), 0.8, 0)  # iou 1 -> decays to 0
-        out = soft_nms([a, b], 0.5, mode="linear", score_floor=0.001)
+        out = soft_nms([a, b], 0.5, mode="linear")
         assert out == [a]
 
     def test_bad_mode_rejected(self):
