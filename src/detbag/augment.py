@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from detbag.geometry import Box
+from detbag.geometry import Box, box_area, corners
 
 # boxes whose visible area falls below this fraction of their transformed
 # area are dropped rather than kept as sliver labels
@@ -65,21 +65,18 @@ def _resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return img[rows][:, cols]
 
 
-def _clip_and_filter(labels, weights, canvas_w, canvas_h):
-    """Clip boxes to the canvas; drop a box when its clipped area falls
-    below MIN_AREA_FRAC of its (pre-clip) transformed area."""
-    out_labels, out_weights = [], []
-    for (box, cid), wt in zip(labels, weights):
-        x1 = min(max(box.x_min, 0.0), canvas_w)
-        y1 = min(max(box.y_min, 0.0), canvas_h)
-        x2 = min(max(box.x_max, 0.0), canvas_w)
-        y2 = min(max(box.y_max, 0.0), canvas_h)
-        clipped = Box(x1, y1, x2, y2)
-        if clipped.area < MIN_AREA_FRAC * box.area:
-            continue
-        out_labels.append((clipped, cid))
-        out_weights.append(wt)
-    return out_labels, out_weights
+def _place(s: Sample, scale, shift, canvas_w, canvas_h):
+    """s's labels moved by x * scale + shift per axis, clipped to the
+    canvas; a box is dropped when its clipped area falls below
+    MIN_AREA_FRAC of its moved area. A scale of -1 mirrors an axis."""
+    c = corners(b for b, _ in s.labels) * (scale * 2) + (shift * 2)
+    moved = np.concatenate([np.minimum(c[:, :2], c[:, 2:]),
+                            np.maximum(c[:, :2], c[:, 2:])], axis=1)
+    clipped = np.minimum(np.maximum(moved, 0.0), (canvas_w, canvas_h) * 2)
+    keep = (box_area(clipped) >= MIN_AREA_FRAC * box_area(moved)).tolist()
+    labels = [(Box(*xy), cid) for xy, (_, cid), k in
+              zip(clipped.tolist(), s.labels, keep) if k]
+    return labels, [wt for wt, k in zip(s.weights, keep) if k]
 
 
 def mosaic(samples: list[Sample], out_w: int, out_h: int,
@@ -112,11 +109,8 @@ def mosaic(samples: list[Sample], out_w: int, out_h: int,
     for sample, (qx1, qy1, qx2, qy2) in zip(samples, quadrants):
         qw, qh = qx2 - qx1, qy2 - qy1
         canvas[qy1:qy2, qx1:qx2] = _resize_nearest(sample.image, qh, qw)
-        sx, sy = qw / sample.width, qh / sample.height
-        moved = [(Box(b.x_min * sx + qx1, b.y_min * sy + qy1,
-                      b.x_max * sx + qx1, b.y_max * sy + qy1), cid)
-                 for b, cid in sample.labels]
-        kept, kept_w = _clip_and_filter(moved, sample.weights, out_w, out_h)
+        kept, kept_w = _place(sample, (qw / sample.width, qh / sample.height),
+                              (qx1, qy1), out_w, out_h)
         labels.extend(kept)
         weights.extend(kept_w)
     return Sample(canvas, labels, weights)
@@ -124,14 +118,11 @@ def mosaic(samples: list[Sample], out_w: int, out_h: int,
 
 def _merge_labels(a: Sample, b: Sample, weight_a: float) -> tuple[list, list]:
     labels, weights = [], []
-    for (box, cid), wt in zip(a.labels, a.weights):
-        if wt * weight_a > 0.0:
-            labels.append((box, cid))
-            weights.append(wt * weight_a)
-    for (box, cid), wt in zip(b.labels, b.weights):
-        if wt * (1.0 - weight_a) > 0.0:
-            labels.append((box, cid))
-            weights.append(wt * (1.0 - weight_a))
+    for s, lam in ((a, weight_a), (b, 1.0 - weight_a)):
+        for label, wt in zip(s.labels, s.weights):
+            if wt * lam > 0.0:
+                labels.append(label)
+                weights.append(wt * lam)
     return labels, weights
 
 
@@ -257,25 +248,21 @@ def geometric(s: Sample, op: str, k: float | None = None,
     """Geometric transforms keeping pixels and boxes consistent.
 
     op is one of 'hflip', 'scale' (factor k > 0), or 'crop' (pixel region
-    (x1, y1, x2, y2) inside the image). Boxes falling outside a crop are
-    clipped and dropped under the same sliver rule as mosaic.
+    (x1, y1, x2, y2) inside the image). Boxes follow the pixels through
+    the same clip and sliver rule as mosaic, so a crop drops the boxes it
+    cuts down to slivers.
     """
     if op == "hflip":
         img = s.image[:, ::-1].copy()
-        labels = [(Box(s.width - b.x_max, b.y_min, s.width - b.x_min, b.y_max), c)
-                  for b, c in s.labels]
-        return Sample(img, labels, list(s.weights))
-    if op == "scale":
+        scale, shift = (-1, 1), (s.width, 0)
+    elif op == "scale":
         if k is None or k <= 0:
             raise ValueError(f"scale needs k > 0: {k}")
         out_h = max(int(round(s.height * k)), 1)
         out_w = max(int(round(s.width * k)), 1)
         img = _resize_nearest(s.image, out_h, out_w)
-        moved = [(Box(b.x_min * k, b.y_min * k, b.x_max * k, b.y_max * k), c)
-                 for b, c in s.labels]
-        labels, weights = _clip_and_filter(moved, s.weights, out_w, out_h)
-        return Sample(img, labels, weights)
-    if op == "crop":
+        scale, shift = (k, k), (0, 0)
+    elif op == "crop":
         if region is None:
             raise ValueError("crop needs a region")
         x1, y1, x2, y2 = (int(v) for v in region)
@@ -283,11 +270,10 @@ def geometric(s: Sample, op: str, k: float | None = None,
             raise ValueError(f"crop region {region} invalid for "
                              f"{s.width}x{s.height} image")
         img = s.image[y1:y2, x1:x2].copy()
-        moved = [(Box(b.x_min - x1, b.y_min - y1, b.x_max - x1, b.y_max - y1), c)
-                 for b, c in s.labels]
-        labels, weights = _clip_and_filter(moved, s.weights, x2 - x1, y2 - y1)
-        return Sample(img, labels, weights)
-    raise ValueError(f"unknown geometric op: {op!r}")
+        scale, shift = (1, 1), (-x1, -y1)
+    else:
+        raise ValueError(f"unknown geometric op: {op!r}")
+    return Sample(img, *_place(s, scale, shift, img.shape[1], img.shape[0]))
 
 
 def _box_mean_1d(x: np.ndarray, radius: int, axis: int) -> np.ndarray:

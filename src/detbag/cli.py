@@ -161,13 +161,17 @@ def _photometric_jittered(sample, args, rng):
 
 
 def cmd_augment(args) -> int:
-    if args.op == "photometric":  # rng.uniform overflows unless high - low is finite
+    if args.op == "photometric":  # rng.uniform needs 0 <= high - low < inf
         for flag in ("brightness", "contrast", "hue", "saturation", "noise_sigma"):
             value, name = getattr(args, flag), flag.replace("_", "-")
             if not math.isfinite(value):
                 raise ValueError(f"--{name} must be finite: {value}")
+            if value < 0:
+                raise ValueError(f"--{name} must be >= 0: {value}")
             if flag != "noise_sigma" and not math.isfinite(2.0 * value):
                 raise ValueError(f"--{name} draws from a range 2 * {value} wide, which overflows")
+    if args.op == "mosaic" and args.out_size < 2:
+        raise ValueError(f"--out-size must be >= 2: {args.out_size}")
     index = ingest.load_annotations(args.annotations)
     samples = _load_samples(index, Path(args.images_dir))
     rng = np.random.default_rng(args.seed)

@@ -219,6 +219,8 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
     distinct = np.unique(shapes, axis=0)
     if k < 1 or k > len(distinct):
         raise ValueError(f"k={k} but only {len(distinct)} distinct shapes")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1: {iters}")
 
     centroids = distinct[rng.choice(len(distinct), size=k, replace=False)].copy()
     best_centroids = centroids.copy()

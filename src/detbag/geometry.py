@@ -25,10 +25,12 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        # chained comparisons are False for NaN, so this also rejects it
+        # chained comparisons are False for NaN, so this also rejects it; an
+        # overflowing side makes the area inf or NaN and fails the last test
         if not (-math.inf < self.x_min <= self.x_max < math.inf
-                and -math.inf < self.y_min <= self.y_max < math.inf):
-            raise ValueError(f"degenerate or non-finite box: {self}")
+                and -math.inf < self.y_min <= self.y_max < math.inf
+                and (self.x_max - self.x_min) * (self.y_max - self.y_min) < math.inf):
+            raise ValueError(f"degenerate or non-finite box or area: {self}")
 
     @property
     def width(self) -> float:

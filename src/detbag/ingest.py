@@ -194,7 +194,7 @@ def parse_annotations(data: dict) -> DatasetIndex:
             ann.to_box()
         except ValueError:
             raise ValueError(
-                f"annotation {ann.id} has a non-finite bbox: {ann.bbox}") from None
+                f"annotation {ann.id} has a non-finite bbox or area: {ann.bbox}") from None
         annotations.append(ann)
     return DatasetIndex(tuple(images), tuple(annotations), tuple(categories))
 

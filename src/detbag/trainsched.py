@@ -23,6 +23,9 @@ def cosine_lr(t: int, total_steps: int, lr_max: float, lr_min: float = 0.0) -> f
         raise ValueError(f"total_steps must be positive: {total_steps}")
     if not 0 <= t <= total_steps:
         raise ValueError(f"step {t} outside [0, {total_steps}]")
+    for name, value in (("lr_max", lr_max), ("lr_min", lr_min)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value}")
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t / total_steps))
 
 
@@ -32,6 +35,9 @@ def step_decay_lr(t: int, milestones: tuple[int, ...] = DEFAULT_MILESTONES,
     """Piecewise-constant decay: lr0 * factor^(milestones passed by step t)."""
     if list(milestones) != sorted(milestones):
         raise ValueError(f"milestones must be sorted: {milestones}")
+    for name, value in (("lr0", lr0), ("factor", factor)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value}")
     passed = sum(1 for m in milestones if m <= t)
     return lr0 * factor**passed
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detbag.augment import (Sample, _resize_nearest, blur, cutmix, cutmix_rect,
-                            geometric, mixup, mosaic, photometric)
+from detbag.augment import (MIN_AREA_FRAC, Sample, _resize_nearest, blur, cutmix,
+                            cutmix_rect, geometric, mixup, mosaic, photometric)
 from detbag.geometry import Box
 
 
@@ -266,6 +266,83 @@ def samples(draw):
     return Sample(np.full((h, w, 3), 0.5), labels, weights)
 
 
+def _clip_and_filter(labels, weights, canvas_w, canvas_h):
+    """Clip boxes to the canvas; drop a box when its clipped area falls
+    below MIN_AREA_FRAC of its (pre-clip) transformed area."""
+    out_labels, out_weights = [], []
+    for (box, cid), wt in zip(labels, weights):
+        x1 = min(max(box.x_min, 0.0), canvas_w)
+        y1 = min(max(box.y_min, 0.0), canvas_h)
+        x2 = min(max(box.x_max, 0.0), canvas_w)
+        y2 = min(max(box.y_max, 0.0), canvas_h)
+        clipped = Box(x1, y1, x2, y2)
+        if clipped.area < MIN_AREA_FRAC * box.area:
+            continue
+        out_labels.append((clipped, cid))
+        out_weights.append(wt)
+    return out_labels, out_weights
+
+
+def per_box_labels(op, s, arg=None):
+    """Reference labels and weights, one `Box` per label per step, with the
+    clip and sliver rule applied box by box.
+
+    op is 'hflip', 'scale' (arg k), 'crop' (arg region) or 'mosaic' (s the
+    four samples, arg (out_w, out_h, seed)).
+    """
+    if op == "mosaic":
+        out_w, out_h, seed = arg
+        rng = np.random.default_rng(seed)
+        split_x = int(round(rng.uniform(0.25 * out_w, 0.75 * out_w)))
+        split_y = int(round(rng.uniform(0.25 * out_h, 0.75 * out_h)))
+        split_x = min(max(split_x, 1), out_w - 1)
+        split_y = min(max(split_y, 1), out_h - 1)
+        quadrants = ((0, 0, split_x, split_y), (split_x, 0, out_w, split_y),
+                     (0, split_y, split_x, out_h), (split_x, split_y, out_w, out_h))
+        labels, weights = [], []
+        for sample, (qx1, qy1, qx2, qy2) in zip(s, quadrants):
+            sx, sy = (qx2 - qx1) / sample.width, (qy2 - qy1) / sample.height
+            moved = [(Box(b.x_min * sx + qx1, b.y_min * sy + qy1,
+                          b.x_max * sx + qx1, b.y_max * sy + qy1), cid)
+                     for b, cid in sample.labels]
+            kept, kept_w = _clip_and_filter(moved, sample.weights, out_w, out_h)
+            labels.extend(kept)
+            weights.extend(kept_w)
+        return labels, weights
+    if op == "hflip":
+        return ([(Box(s.width - b.x_max, b.y_min, s.width - b.x_min, b.y_max), c)
+                 for b, c in s.labels], list(s.weights))
+    if op == "scale":
+        k = arg
+        out_h = max(int(round(s.height * k)), 1)
+        out_w = max(int(round(s.width * k)), 1)
+        moved = [(Box(b.x_min * k, b.y_min * k, b.x_max * k, b.y_max * k), c)
+                 for b, c in s.labels]
+        return _clip_and_filter(moved, s.weights, out_w, out_h)
+    x1, y1, x2, y2 = arg
+    moved = [(Box(b.x_min - x1, b.y_min - y1, b.x_max - x1, b.y_max - y1), c)
+             for b, c in s.labels]
+    return _clip_and_filter(moved, s.weights, x2 - x1, y2 - y1)
+
+
+def apply(op, s, arg=None):
+    """Run op on s the way `per_box_labels` takes its arguments."""
+    if op == "mosaic":
+        out_w, out_h, seed = arg
+        return mosaic(s, out_w, out_h, np.random.default_rng(seed))
+    if op == "scale":
+        return geometric(s, op, k=arg)
+    return geometric(s, op, region=arg)
+
+
+def assert_matches_per_box(out, op, s, arg=None):
+    assert (out.labels, out.weights) == per_box_labels(op, s, arg)
+    # Python floats: neither numpy scalars nor the int canvas side that the
+    # per-box clip returns for a box cut at the far edge
+    assert all(type(v) is float for box, _ in out.labels
+               for v in (box.x_min, box.y_min, box.x_max, box.y_max))
+
+
 def assert_labels_inside_canvas(out):
     assert len(out.weights) == len(out.labels)
     for box, _ in out.labels:
@@ -281,6 +358,7 @@ class TestLabelsStayOnCanvas:
         out = mosaic(four, out_w, out_h, np.random.default_rng(seed))
         assert (out.width, out.height) == (out_w, out_h)
         assert_labels_inside_canvas(out)
+        assert_matches_per_box(out, "mosaic", four, (out_w, out_h, seed))
 
     @settings(deadline=None, max_examples=150)
     @given(samples())
@@ -288,11 +366,14 @@ class TestLabelsStayOnCanvas:
         out = geometric(s, "hflip")
         assert len(out.labels) == len(s.labels)
         assert_labels_inside_canvas(out)
+        assert_matches_per_box(out, "hflip", s)
 
     @settings(deadline=None, max_examples=150)
     @given(samples(), st.floats(0.01, 4.0))
     def test_scale(self, s, k):
-        assert_labels_inside_canvas(geometric(s, "scale", k=k))
+        out = geometric(s, "scale", k=k)
+        assert_labels_inside_canvas(out)
+        assert_matches_per_box(out, "scale", s, k)
 
     @settings(deadline=None, max_examples=150)
     @given(samples(), st.data())
@@ -304,6 +385,46 @@ class TestLabelsStayOnCanvas:
         out = geometric(s, "crop", region=(x1, y1, x2, y2))
         assert (out.width, out.height) == (x2 - x1, y2 - y1)
         assert_labels_inside_canvas(out)
+        assert_matches_per_box(out, "crop", s, (x1, y1, x2, y2))
+
+
+# a 12 x 10 image whose labels sit on the edge cases of the clip and sliver
+# rule; the comments say what a crop from x = 9 does to each
+EDGE = Sample(np.full((10, 12, 3), 0.5), [
+    (Box(0.0, 0.0, 12.0, 10.0), 0),   # the whole image, on every edge
+    (Box(11.0, 9.0, 12.0, 10.0), 1),  # the bottom-right corner pixel
+    (Box(3.0, 2.0, 3.0, 6.0), 2),     # zero width: clipped to zero area, kept
+    (Box(2.0, 4.0, 7.0, 4.0), 3),     # zero height: likewise
+    (Box(0.0, 0.0, 10.0, 1.0), 4),    # keeps exactly MIN_AREA_FRAC: kept
+    (Box(0.0, 2.0, 9.999, 3.0), 5),   # keeps just under it: dropped
+    (Box(0.0, 5.0, 2.0, 8.0), 6),     # fully outside: dropped
+], [1.0, 0.5, 0.25, 0.75, 0.125, 0.9, 0.3])
+
+
+class TestPerBoxOracle:
+    @pytest.mark.parametrize("op,arg", [
+        ("hflip", None), ("scale", 0.5), ("scale", 1.7), ("scale", 0.01),
+        ("crop", (9, 0, 12, 10)), ("crop", (0, 0, 12, 10)), ("crop", (4, 3, 8, 7)),
+        ("crop", (11, 9, 12, 10)), ("mosaic", (20, 20, 0)), ("mosaic", (7, 33, 5))])
+    def test_edge_labels(self, op, arg):
+        s = [EDGE] * 4 if op == "mosaic" else EDGE
+        assert_matches_per_box(apply(op, s, arg), op, s, arg)
+
+    def test_sliver_threshold_and_outside_boxes(self):
+        out = geometric(EDGE, "crop", region=(9, 0, 12, 10))
+        assert [cid for _, cid in out.labels] == [0, 1, 2, 3, 4]
+        assert out.labels[4][0] == Box(0.0, 0.0, 1.0, 1.0)
+        assert out.weights == [1.0, 0.5, 0.25, 0.75, 0.125]
+
+    @pytest.mark.parametrize("op,arg", [("hflip", None), ("scale", 2.0),
+                                        ("crop", (0, 0, 3, 4))])
+    def test_negative_zero_comes_out_positive(self, op, arg):
+        s = Sample(np.full((4, 3, 3), 0.5), [(Box(-0.0, -0.0, 2.0, 3.0), 0)])
+        out = apply(op, s, arg)
+        assert_matches_per_box(out, op, s, arg)  # == holds as -0.0 == 0.0
+        box = out.labels[0][0]
+        assert [math.copysign(1.0, v) for v in
+                (box.x_min, box.y_min, box.x_max, box.y_max)] == [1.0] * 4
 
 
 class TestBlur:

@@ -121,6 +121,14 @@ class TestOptimizeAnchors:
         assert code == 1 and out == ""
         assert err.startswith("error: threshold ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("iters", ["0", "-1"])
+    def test_iters_below_one_fails_cleanly(self, tmp_path, capsys, iters):
+        ann = write_dataset(tmp_path, [[[0, 0, 10, 20]]] * 6, image_size=(512, 512))
+        code, out, err = run(capsys, "optimize-anchors", str(ann), "--k", "1",
+                             "--iters", iters)
+        assert code == 1 and out == ""
+        assert err == f"error: iters must be >= 1: {iters}\n"
+
     def test_boxes_rescaled_to_resolution(self, tmp_path, capsys):
         # a 64x64 image upscaled to resolution 512 stretches boxes by 8
         ann = write_dataset(tmp_path, [[[0, 0, 8, 4]]] * 3, image_size=(64, 64))
@@ -243,6 +251,21 @@ class TestEval:
         assert err.startswith("error: bad detection record #1") and err.count("\n") == 1
         assert "non-finite" in err
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+    @pytest.mark.parametrize("where,message", [
+        ("detections", "error: bad detection record #1: degenerate or non-finite box or area"),
+        ("annotations", "error: annotation 2 has a non-finite bbox or area")],
+        ids=["detections", "annotations"])
+    def test_overflowing_box_area_fails_cleanly(self, tmp_path, capsys, where, message):
+        boxes = [[0, 0, 10, 10], [0, 0, 1e308, 1e308]]
+        ann = write_dataset(tmp_path, [boxes if where == "annotations" else boxes[:1]])
+        dets = write_detections(tmp_path, [
+            {"image_id": 1, "category_id": 1, "bbox": bbox, "score": 0.9}
+            for bbox in (boxes if where == "detections" else boxes[:1])])
+        code, out, err = run(capsys, "eval", str(dets), str(ann))
+        assert code == 1 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_annotation_fails_cleanly(self, tmp_path, capsys, token):
         ann = write_dataset(tmp_path, [[[0, 0, 10, 10], [0, 0, float(token), 10]]])
@@ -315,7 +338,10 @@ class TestAugment:
         ("--saturation", "nan"), ("--noise-sigma", "nan"),
         # finite, but the draw range 2 * value overflows
         ("--brightness", "1e308"), ("--contrast", "1e308"), ("--hue", "1e308"),
-        ("--saturation", "9e307")])
+        ("--saturation", "9e307"),
+        # negative: the draw range would be empty
+        ("--brightness", "-5"), ("--contrast", "-0.5"), ("--hue", "-0.1"),
+        ("--saturation", "-0.3"), ("--noise-sigma", "-1")])
     def test_non_finite_jitter_flag_fails_cleanly(self, tmp_path, capsys, flag, value):
         ann = write_dataset(tmp_path, [[[8, 8, 16, 12]]] * 2, image_size=(32, 32),
                             with_images=True, rng=np.random.default_rng(3))
@@ -325,10 +351,26 @@ class TestAugment:
                              flag, value)
         assert code == 1 and out == ""
         v = float(value)
-        if math.isfinite(v):
-            assert err == f"error: {flag} draws from a range 2 * {v} wide, which overflows\n"
-        else:
+        if not math.isfinite(v):
             assert err == f"error: {flag} must be finite: {v}\n"
+        elif v < 0:
+            assert err == f"error: {flag} must be >= 0: {v}\n"
+        else:
+            assert err == f"error: {flag} draws from a range 2 * {v} wide, which overflows\n"
+        assert not out_dir.exists()
+
+    # checked before loading: with fewer than 4 images mosaic never runs
+    @pytest.mark.parametrize("n_images", [2, 4])
+    @pytest.mark.parametrize("size", ["-4", "1"])
+    def test_mosaic_out_size_below_two_fails_cleanly(self, tmp_path, capsys, n_images,
+                                                     size):
+        ann = write_dataset(tmp_path, [[[8, 8, 16, 12]]] * n_images, image_size=(32, 32),
+                            with_images=True, rng=np.random.default_rng(3))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "augment", str(ann), str(tmp_path), "--op", "mosaic",
+                             "--out-dir", str(out_dir), "--out-size", size)
+        assert code == 1 and out == ""
+        assert err == f"error: --out-size must be >= 2: {size}\n"
         assert not out_dir.exists()
 
     def test_missing_images_listed(self, tmp_path, capsys):
@@ -341,6 +383,16 @@ class TestAugment:
 
 
 class TestSchedule:
+    @pytest.mark.parametrize("argv,name", [
+        (("--kind", "cosine", "--lr-max", "nan"), "lr_max"),
+        (("--kind", "cosine", "--lr-min", "inf"), "lr_min"),
+        (("--kind", "step", "--lr0", "inf"), "lr0"),
+        (("--kind", "step", "--factor", "nan"), "factor")])
+    def test_non_finite_rate_fails_cleanly(self, capsys, argv, name):
+        code, out, err = run(capsys, "schedule", "--steps", "2", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name} must be finite: ") and err.count("\n") == 1
+
     def test_cosine_endpoints_and_row_count(self, capsys):
         code, out, _ = run(capsys, "schedule", "--kind", "cosine",
                            "--steps", "100", "--lr-max", "0.01",

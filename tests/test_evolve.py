@@ -373,3 +373,8 @@ class TestKMeansAnchors:
             kmeans_anchors([(1.0, 1.0)] * 5, 2, rng=rng)  # only one distinct shape
         with pytest.raises(ValueError):
             kmeans_anchors([(0.0, 1.0)], 1, rng=rng)
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_iters_below_one_rejected(self, iters):
+        with pytest.raises(ValueError, match="iters"):
+            kmeans_anchors([(5.0, 5.0), (10.0, 20.0)], 2, iters, rng=np.random.default_rng(0))

@@ -83,6 +83,18 @@ class TestConvert:
         with pytest.raises(ValueError, match="non-finite"):
             CenterBox(*coords)
 
+    @pytest.mark.parametrize("coords", [
+        (0.0, 0.0, 1e308, 1e308),    # finite sides, area overflows
+        (-1e308, 0.0, 1e308, 1.0),   # the width itself overflows
+        (-1e308, 0.0, 1e308, 0.0),   # inf * 0 area is NaN
+        (0.0, -1e308, 0.0, 1e308)])
+    def test_overflowing_area_rejected(self, coords):
+        with pytest.raises(ValueError, match="non-finite box or area"):
+            Box(*coords)
+
+    def test_large_finite_area_accepted(self):
+        assert Box(0.0, 0.0, 1e154, 1e154).area == 1e154 * 1e154
+
 
 class TestIou:
     def test_identity(self):

@@ -23,6 +23,13 @@ class TestCosine:
         with pytest.raises(ValueError):
             cosine_lr(5, 4, 0.1)
 
+    @pytest.mark.parametrize("lr_max,lr_min,name", [
+        (float("nan"), 0.0, "lr_max"), (float("inf"), 0.0, "lr_max"),
+        (0.1, float("-inf"), "lr_min"), (0.1, float("nan"), "lr_min")])
+    def test_non_finite_rate_rejected(self, lr_max, lr_min, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cosine_lr(0, 10, lr_max, lr_min)
+
 
 class TestStepDecay:
     def test_schedule_defaults(self):
@@ -46,6 +53,14 @@ class TestStepDecay:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             step_decay_lr(0, (20, 10), 1.0, 0.1)
+
+    @pytest.mark.parametrize("lr0,factor,name", [
+        (float("inf"), 0.1, "lr0"), (float("nan"), 0.1, "lr0"),
+        (1.0, float("nan"), "factor"), (1.0, float("-inf"), "factor")])
+    def test_non_finite_rate_rejected(self, lr0, factor, name):
+        # checked even before any milestone is passed
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            step_decay_lr(0, (10,), lr0, factor)
 
 
 class TestCmBN:
