@@ -62,18 +62,21 @@ def _resize_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     h, w = img.shape[:2]
     rows = np.minimum((np.arange(out_h) + 0.5) * h / out_h, h - 1).astype(int)
     cols = np.minimum((np.arange(out_w) + 0.5) * w / out_w, w - 1).astype(int)
-    return img[rows][:, cols]
+    return img.take(rows, 0).take(cols, 1)
 
 
 def _place(s: Sample, scale, shift, canvas_w, canvas_h):
     """s's labels moved by x * scale + shift per axis, clipped to the
-    canvas; a box is dropped when its clipped area falls below
-    MIN_AREA_FRAC of its moved area. A scale of -1 mirrors an axis."""
+    canvas; a box is dropped when it misses the closed canvas or its
+    clipped area falls below MIN_AREA_FRAC of its moved area. A scale of
+    -1 mirrors an axis."""
     c = corners(b for b, _ in s.labels) * (scale * 2) + (shift * 2)
     moved = np.concatenate([np.minimum(c[:, :2], c[:, 2:]),
                             np.maximum(c[:, :2], c[:, 2:])], axis=1)
     clipped = np.minimum(np.maximum(moved, 0.0), (canvas_w, canvas_h) * 2)
-    keep = (box_area(clipped) >= MIN_AREA_FRAC * box_area(moved)).tolist()
+    keep = ((box_area(clipped) >= MIN_AREA_FRAC * box_area(moved))
+            & (moved[:, 2:] >= 0.0).all(1)
+            & (moved[:, :2] <= (canvas_w, canvas_h)).all(1)).tolist()
     labels = [(Box(*xy), cid) for xy, (_, cid), k in
               zip(clipped.tolist(), s.labels, keep) if k]
     return labels, [wt for wt, k in zip(s.weights, keep) if k]
@@ -175,35 +178,42 @@ def mixup(a: Sample, b: Sample, lam: float) -> Sample:
     return Sample(img, labels, weights)
 
 
-def _rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = rgb.max(axis=-1)
-    minc = rgb.min(axis=-1)
-    delta = maxc - minc
-    sat = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-    hue = np.zeros_like(maxc)
-    safe = np.where(delta > 0, delta, 1.0)
-    sel_r = (maxc == r) & (delta > 0)
-    sel_g = (maxc == g) & ~sel_r & (delta > 0)
-    sel_b = (delta > 0) & ~sel_r & ~sel_g
-    hue = np.where(sel_r, ((g - b) / safe) % 6.0, hue)
-    hue = np.where(sel_g, (b - r) / safe + 2.0, hue)
-    hue = np.where(sel_b, (r - g) / safe + 4.0, hue)
-    return np.stack([hue / 6.0, sat, maxc], axis=-1)
+# the channel that v, p and x (q in odd sectors, t in even ones) take in
+# each sector of the hue wheel; sector 6 is h == 1.0, where f == 0, so it
+# takes sector 0's channels
+_SECTOR_CHANNELS = np.array([[0, 1, 1, 2, 2, 0, 0], [2, 2, 0, 0, 1, 1, 2],
+                             [1, 0, 2, 1, 0, 2, 1]])
 
 
-def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
-    h, s, v = hsv[..., 0] % 1.0, hsv[..., 1], hsv[..., 2]
-    i = np.floor(h * 6.0)
-    f = h * 6.0 - i
+def _rgb_to_hsv(r: np.ndarray, g: np.ndarray, b: np.ndarray):
+    """Hue in sixths of a turn, saturation and value planes of RGB planes
+    clipped to [0, 1]."""
+    v = np.maximum(np.maximum(r, g), b)
+    delta = v - np.minimum(np.minimum(r, g), b)
+    sat = np.divide(delta, v, out=np.zeros_like(v), where=v > 0)
+    chroma = delta > 0
+    safe = np.where(chroma, delta, 1.0)
+    hr = (g - b) / safe
+    hr += 6.0 * (hr < 0.0)  # == hr % 6.0 on [-1, 1], -0.0 included
+    hue = np.where(v == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0)
+    hue = np.where(v == r, hr, hue)
+    np.copyto(hue, 0.0, where=~chroma)
+    return hue, sat, v
+
+
+def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (H, W, 3) image of hue (in turns, within [0, 1]), saturation and
+    value planes."""
+    k = np.floor(h * 6.0)
+    f = h * 6.0 - k
+    k = k.astype(np.intp)
+    x = v * (1.0 - s * np.where(k & 1, f, 1.0 - f))  # q if k is odd, else t
     p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(int) % 6
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+    out = np.empty(v.shape + (3,))
+    at = np.arange(0, out.size, 3).reshape(v.shape)
+    for plane, channel in zip((v, p, x), _SECTOR_CHANNELS):
+        out.reshape(-1)[channel[k] + at] = plane
+    return out
 
 
 def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
@@ -216,13 +226,18 @@ def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
     rotates the HSV wheel (in turns), saturation scales the HSV S channel,
     and noise adds clamped gaussian noise. Every stage that sits at its
     identity value is skipped, so all-identity parameters return the image
-    bit-exact. Raises ValueError naming a parameter that is not finite.
+    bit-exact. Raises ValueError, before any pixel work, naming a parameter
+    that is not finite, a negative noise_sigma, or noise without an rng.
     """
     for name, value in (("brightness", brightness), ("contrast", contrast),
                         ("hue", hue), ("saturation", saturation),
                         ("noise_sigma", noise_sigma)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: {value}")
+    if noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be >= 0: {noise_sigma}")
+    if noise_sigma != 0.0 and rng is None:
+        raise ValueError("noise_sigma > 0 needs an rng")
     img = s.image
     if brightness != 0.0:
         img = np.clip(img + brightness, 0.0, 1.0)
@@ -230,15 +245,13 @@ def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
         mean = img.mean()
         img = np.clip(mean + contrast * (img - mean), 0.0, 1.0)
     if hue != 0.0 or saturation != 1.0:
-        hsv = _rgb_to_hsv(np.clip(img, 0.0, 1.0))
-        hsv[..., 0] = (hsv[..., 0] + hue) % 1.0
-        hsv[..., 1] = np.clip(hsv[..., 1] * saturation, 0.0, 1.0)
-        img = np.clip(_hsv_to_rgb(hsv), 0.0, 1.0)
+        h, sat, v = _rgb_to_hsv(*np.clip(img.transpose(2, 0, 1), 0.0, 1.0,
+                                         out=np.empty((3,) + img.shape[:2])))
+        h = h / 6.0 + hue
+        h -= np.floor(h)  # == h % 1.0, but 1.0 may stay: it is sector 6
+        img = _hsv_to_rgb(h, np.clip(sat * saturation, 0.0, 1.0), v)
+        np.clip(img, 0.0, 1.0, out=img)
     if noise_sigma != 0.0:
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0: {noise_sigma}")
-        if rng is None:
-            raise ValueError("noise_sigma > 0 needs an rng")
         img = np.clip(img + rng.normal(0.0, noise_sigma, img.shape), 0.0, 1.0)
     return Sample(img, list(s.labels), list(s.weights))
 

@@ -26,7 +26,10 @@ def cosine_lr(t: int, total_steps: int, lr_max: float, lr_min: float = 0.0) -> f
     for name, value in (("lr_max", lr_max), ("lr_min", lr_min)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: {value}")
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t / total_steps))
+    lr = lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t / total_steps))
+    if not math.isfinite(lr):
+        raise ValueError(f"cosine rate overflows: lr_max={lr_max}, lr_min={lr_min}")
+    return lr
 
 
 def step_decay_lr(t: int, milestones: tuple[int, ...] = DEFAULT_MILESTONES,
@@ -39,7 +42,14 @@ def step_decay_lr(t: int, milestones: tuple[int, ...] = DEFAULT_MILESTONES,
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: {value}")
     passed = sum(1 for m in milestones if m <= t)
-    return lr0 * factor**passed
+    try:
+        lr = lr0 * factor**passed
+    except OverflowError:
+        lr = math.inf
+    if not math.isfinite(lr):
+        raise ValueError(f"step rate lr0 * factor**{passed} overflows: "
+                         f"lr0={lr0}, factor={factor}")
+    return lr
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 import colorsys
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detbag import augment
 from detbag.augment import (MIN_AREA_FRAC, Sample, _resize_nearest, blur, cutmix,
                             cutmix_rect, geometric, mixup, mosaic, photometric)
 from detbag.geometry import Box
@@ -217,6 +220,129 @@ class TestPhotometric:
         assert out.image.min() >= 0.0 and out.image.max() <= 1.0
 
 
+def hwc_rgb_to_hsv(rgb):
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = rgb.max(axis=-1)
+    minc = rgb.min(axis=-1)
+    delta = maxc - minc
+    sat = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    hue = np.zeros_like(maxc)
+    safe = np.where(delta > 0, delta, 1.0)
+    sel_r = (maxc == r) & (delta > 0)
+    sel_g = (maxc == g) & ~sel_r & (delta > 0)
+    sel_b = (delta > 0) & ~sel_r & ~sel_g
+    hue = np.where(sel_r, ((g - b) / safe) % 6.0, hue)
+    hue = np.where(sel_g, (b - r) / safe + 2.0, hue)
+    hue = np.where(sel_b, (r - g) / safe + 4.0, hue)
+    return np.stack([hue / 6.0, sat, maxc], axis=-1)
+
+
+def hwc_hsv_to_rgb(hsv):
+    h, s, v = hsv[..., 0] % 1.0, hsv[..., 1], hsv[..., 2]
+    i = np.floor(h * 6.0)
+    f = h * 6.0 - i
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    i = i.astype(int) % 6
+    r = np.choose(i, [v, q, p, p, t, v])
+    g = np.choose(i, [t, v, v, q, p, p])
+    b = np.choose(i, [p, p, t, v, v, q])
+    return np.stack([r, g, b], axis=-1)
+
+
+def hwc_photometric(s, brightness=0.0, contrast=1.0, hue=0.0, saturation=1.0,
+                    noise_sigma=0.0, rng=None):
+    """Reference image of `photometric`: every stage on the interleaved
+    (H, W, 3) array, the HSV round trip with last-axis reductions,
+    `np.choose` and float `%`. `photometric` must equal it byte for byte."""
+    img = s.image
+    if brightness != 0.0:
+        img = np.clip(img + brightness, 0.0, 1.0)
+    if contrast != 1.0:
+        mean = img.mean()
+        img = np.clip(mean + contrast * (img - mean), 0.0, 1.0)
+    if hue != 0.0 or saturation != 1.0:
+        hsv = hwc_rgb_to_hsv(np.clip(img, 0.0, 1.0))
+        hsv[..., 0] = (hsv[..., 0] + hue) % 1.0
+        hsv[..., 1] = np.clip(hsv[..., 1] * saturation, 0.0, 1.0)
+        img = np.clip(hwc_hsv_to_rgb(hsv), 0.0, 1.0)
+    if noise_sigma != 0.0:
+        img = np.clip(img + rng.normal(0.0, noise_sigma, img.shape), 0.0, 1.0)
+    return img
+
+
+# pixel values on the edges of the HSV round trip: both zeros, white, the
+# sector boundaries, a tiny positive value and the largest float below 1
+PIXEL_POOL = (0.0, -0.0, 1.0, 0.5, 1 / 3, 2 / 3, 1e-300, 1 - 1e-16)
+
+
+@st.composite
+def jitter_images(draw):
+    """A 1-7 px sided image mixing uniform and pool values, with gray
+    pixels, two channels tied, and values outside [0, 1]."""
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-0.5, 1.5)]))
+    img = rng.uniform(lo, hi, (h, w, 3))
+    pooled = rng.random((h, w, 3)) < draw(st.floats(0.0, 1.0))
+    img[pooled] = rng.choice(PIXEL_POOL, int(pooled.sum()))
+    gray = rng.random((h, w)) < draw(st.floats(0.0, 0.5))
+    img[gray] = img[gray][:, :1]
+    a, b = draw(st.sampled_from([(0, 1), (1, 2), (0, 2)]))
+    tied = rng.random((h, w)) < draw(st.floats(0.0, 0.5))
+    img[tied, b] = img[tied, a]
+    return img
+
+
+def identity_or(value, drawn):
+    return st.one_of(st.just(value), drawn)
+
+
+class TestPhotometricPlanes:
+    @settings(deadline=None, max_examples=400, derandomize=True)
+    @given(jitter_images(),
+           identity_or(0.0, st.floats(-1.0, 1.0)),
+           identity_or(1.0, st.floats(0.0, 3.0)),
+           identity_or(0.0, st.one_of(st.floats(-3.0, 3.0),
+                                      st.sampled_from([-1e-17, 0.5, -0.5, 1.0, -1.0]))),
+           identity_or(1.0, st.one_of(st.floats(0.0, 5.0), st.just(0.0))),
+           identity_or(0.0, st.floats(0.001, 0.5)),
+           st.integers(0, 2**32 - 1))
+    def test_bytes_equal_the_hwc_reference(self, img, brightness, contrast, hue,
+                                           saturation, noise_sigma, seed):
+        kwargs = dict(brightness=brightness, contrast=contrast, hue=hue,
+                      saturation=saturation, noise_sigma=noise_sigma)
+        out = photometric(Sample(img), rng=np.random.default_rng(seed), **kwargs)
+        want = hwc_photometric(Sample(img), rng=np.random.default_rng(seed), **kwargs)
+        assert out.image.tobytes() == want.tobytes()
+
+    def test_train_size_image_bytes(self):
+        # long rows take numpy's vector loops, which small images do not
+        rng = np.random.default_rng(211)
+        img = rng.random((416, 416, 3))
+        img[rng.random((416, 416)) < 0.1] = 0.25  # gray
+        signed_zeros = np.array(list(itertools.product([-0.0, 0.0], repeat=3)))
+        img[:8] = np.resize(signed_zeros, (8, 416, 3))
+        for hue, saturation in ((0.04, 1.2), (-0.5, 0.0), (1.0, 3.0)):
+            out = photometric(Sample(img), hue=hue, saturation=saturation)
+            want = hwc_photometric(Sample(img), hue=hue, saturation=saturation)
+            assert out.image.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(noise_sigma=-1.0, rng=np.random.default_rng(0)),
+         "noise_sigma must be >= 0: -1.0"),
+        (dict(noise_sigma=0.1), "noise_sigma > 0 needs an rng")])
+    def test_noise_arguments_checked_before_pixel_work(self, monkeypatch, kwargs,
+                                                       message):
+        def unreachable(*planes):
+            raise AssertionError("HSV stage reached")
+        monkeypatch.setattr(augment, "_rgb_to_hsv", unreachable)
+        big = Sample(np.full((416, 416, 3), 0.5))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            photometric(big, brightness=0.1, contrast=1.2, hue=0.1, **kwargs)
+
+
 class TestGeometric:
     def test_hflip_twice_is_identity(self):
         rng = np.random.default_rng(199)
@@ -267,10 +393,13 @@ def samples(draw):
 
 
 def _clip_and_filter(labels, weights, canvas_w, canvas_h):
-    """Clip boxes to the canvas; drop a box when its clipped area falls
-    below MIN_AREA_FRAC of its (pre-clip) transformed area."""
+    """Clip boxes to the canvas; drop a box when it misses the closed canvas
+    or its clipped area falls below MIN_AREA_FRAC of its (pre-clip)
+    transformed area."""
     out_labels, out_weights = [], []
     for (box, cid), wt in zip(labels, weights):
+        if box.x_max < 0 or box.x_min > canvas_w or box.y_max < 0 or box.y_min > canvas_h:
+            continue
         x1 = min(max(box.x_min, 0.0), canvas_w)
         y1 = min(max(box.y_min, 0.0), canvas_h)
         x2 = min(max(box.x_max, 0.0), canvas_w)
@@ -393,8 +522,8 @@ class TestLabelsStayOnCanvas:
 EDGE = Sample(np.full((10, 12, 3), 0.5), [
     (Box(0.0, 0.0, 12.0, 10.0), 0),   # the whole image, on every edge
     (Box(11.0, 9.0, 12.0, 10.0), 1),  # the bottom-right corner pixel
-    (Box(3.0, 2.0, 3.0, 6.0), 2),     # zero width: clipped to zero area, kept
-    (Box(2.0, 4.0, 7.0, 4.0), 3),     # zero height: likewise
+    (Box(3.0, 2.0, 3.0, 6.0), 2),     # zero width, outside the crop: dropped
+    (Box(2.0, 4.0, 7.0, 4.0), 3),     # zero height, outside: likewise
     (Box(0.0, 0.0, 10.0, 1.0), 4),    # keeps exactly MIN_AREA_FRAC: kept
     (Box(0.0, 2.0, 9.999, 3.0), 5),   # keeps just under it: dropped
     (Box(0.0, 5.0, 2.0, 8.0), 6),     # fully outside: dropped
@@ -412,9 +541,16 @@ class TestPerBoxOracle:
 
     def test_sliver_threshold_and_outside_boxes(self):
         out = geometric(EDGE, "crop", region=(9, 0, 12, 10))
-        assert [cid for _, cid in out.labels] == [0, 1, 2, 3, 4]
-        assert out.labels[4][0] == Box(0.0, 0.0, 1.0, 1.0)
-        assert out.weights == [1.0, 0.5, 0.25, 0.75, 0.125]
+        assert [cid for _, cid in out.labels] == [0, 1, 4]
+        assert out.labels[2][0] == Box(0.0, 0.0, 1.0, 1.0)
+        assert out.weights == [1.0, 0.5, 0.125]
+
+    @pytest.mark.parametrize("region,cid,box", [
+        ((3, 0, 12, 10), 2, Box(0.0, 2.0, 0.0, 6.0)),   # on the left edge
+        ((0, 0, 2, 10), 3, Box(2.0, 4.0, 2.0, 4.0))])   # touches the right edge
+    def test_zero_area_box_touching_the_crop_kept(self, region, cid, box):
+        out = geometric(EDGE, "crop", region=region)
+        assert dict((c, b) for b, c in out.labels)[cid] == box
 
     @pytest.mark.parametrize("op,arg", [("hflip", None), ("scale", 2.0),
                                         ("crop", (0, 0, 3, 4))])

@@ -393,6 +393,17 @@ class TestSchedule:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {name} must be finite: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--kind", "step", "--factor", "1e200", "--milestones", "1,2", "--steps", "3"),
+         "step rate lr0 * factor**2 overflows: lr0=0.01, factor=1e+200"),
+        (("--kind", "step", "--lr0", "1e308", "--factor", "10", "--milestones", "1",
+          "--steps", "2"), "step rate lr0 * factor**1 overflows: lr0=1e+308, factor=10.0"),
+        (("--kind", "cosine", "--lr-max", "1e308", "--lr-min=-1e308", "--steps", "2"),
+         "cosine rate overflows: lr_max=1e+308, lr_min=-1e+308")])
+    def test_overflowing_rate_fails_cleanly(self, capsys, argv, message):
+        code, out, err = run(capsys, "schedule", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_cosine_endpoints_and_row_count(self, capsys):
         code, out, _ = run(capsys, "schedule", "--kind", "cosine",
                            "--steps", "100", "--lr-max", "0.01",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,17 @@ class TestCosine:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             cosine_lr(0, 10, lr_max, lr_min)
 
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_overflowing_rate_rejected(self, t):
+        # lr_max - lr_min overflows: inf at t < 2, inf * 0 = nan at t = 2
+        with pytest.raises(ValueError, match=r"^cosine rate overflows: "
+                           r"lr_max=1e\+308, lr_min=-1e\+308$"):
+            cosine_lr(t, 2, 1e308, -1e308)
+
+    def test_largest_finite_rates_pass(self):
+        assert cosine_lr(0, 2, 1e308, 0.0) == 1e308
+        assert cosine_lr(2, 2, 1e308, -1e307) == -1e307
+
 
 class TestStepDecay:
     def test_schedule_defaults(self):
@@ -61,6 +74,19 @@ class TestStepDecay:
         # checked even before any milestone is passed
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             step_decay_lr(0, (10,), lr0, factor)
+
+    @pytest.mark.parametrize("t,lr0,factor,passed", [
+        (2, 0.01, 1e200, 2),   # factor**passed overflows a float
+        (1, 1e308, 10.0, 1),   # the product overflows to inf
+        (2, 1e-300, -1e200, 2)])
+    def test_overflowing_rate_rejected(self, t, lr0, factor, passed):
+        message = f"step rate lr0 * factor**{passed} overflows: lr0={lr0}, factor={factor}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            step_decay_lr(t, (1, 2), lr0, factor)
+
+    def test_large_factor_with_a_finite_rate_passes(self):
+        assert step_decay_lr(0, (1, 2), 0.01, 1e200) == 0.01
+        assert step_decay_lr(1, (1, 2), 1e-300, 1e200) == pytest.approx(1e-100)
 
 
 class TestCmBN:
