@@ -17,12 +17,14 @@ import numpy as np
 
 from detbag import augment as aug
 from detbag import evalap, ingest, nms, trainsched
-from detbag.decode import DEFAULT_ASSIGN_IOU_THRESHOLD, Anchor
-from detbag.evolve import (GAConfig, HyperEntry, HyperVector, anchor_recall,
-                           evolve, kmeans_anchors)
+from detbag.decode import DEFAULT_ASSIGN_IOU_THRESHOLD
+from detbag.evolve import anchor_recall, evolve_anchors, kmeans_anchors
 
 
 def cmd_optimize_anchors(args) -> int:
+    if not 1 <= args.resolution <= sys.float_info.max:
+        raise ValueError(f"--resolution must be from 1 to {sys.float_info.max}: "
+                         f"{args.resolution}")
     index = ingest.load_annotations(args.annotations)
     sizes = {im.id: im for im in index.images}
     shapes = []
@@ -31,18 +33,21 @@ def cmd_optimize_anchors(args) -> int:
         w = ann.bbox[2] * args.resolution / im.width
         h = ann.bbox[3] * args.resolution / im.height
         if w > 0 and h > 0:
+            if not w * h < math.inf:
+                raise ValueError(f"--resolution {args.resolution} scales annotation "
+                                 f"{ann.id} to a {w}x{h} box whose area overflows")
             shapes.append((w, h))
     if not shapes:
         raise ValueError("dataset contains no boxes with positive size")
     shapes = np.array(shapes)
-    rng = np.random.default_rng(args.seed)
-    result = kmeans_anchors(shapes, args.k, iters=args.iters, rng=rng)
+    result = kmeans_anchors(shapes, args.k, iters=args.iters, rng=np.random.default_rng(args.seed))
     anchors = result.anchors
-    recall, mean_iou = anchor_recall(shapes, anchors, args.threshold)
-    history = None
     if args.evolve:
-        anchors, recall, mean_iou, history = _evolve_anchors(
-            shapes, anchors, args, (recall, mean_iou))
+        anchors, recall, mean_iou, history = evolve_anchors(
+            shapes, anchors, args.threshold, max_side=2.0 * args.resolution, seed=args.seed,
+            population=args.evolve_population, generations=args.evolve_generations)
+    else:
+        recall, mean_iou = anchor_recall(shapes, anchors, args.threshold)
 
     payload = {
         "anchors": [[a.w, a.h] for a in anchors],
@@ -51,7 +56,7 @@ def cmd_optimize_anchors(args) -> int:
         "mean_best_iou": mean_iou,
         "kmeans_distance_per_iteration": result.distance_per_iteration,
     }
-    if history is not None:
+    if args.evolve:
         # a generation without a valid candidate has a NaN mean: JSON null
         payload["ga_history"] = [
             [h.generation, h.best, None if math.isnan(h.mean) else h.mean]
@@ -64,34 +69,6 @@ def cmd_optimize_anchors(args) -> int:
         print(f"recall@{args.threshold}: {recall:.4f}  "
               f"(mean best IoU {mean_iou:.4f}, {len(shapes)} boxes)")
     return 0
-
-
-def _evolve_anchors(shapes, seed_anchors, args, seed_scores):
-    """GA refinement of anchor sizes: primary objective is recall at the
-    assignment threshold, with mean best-IoU as a small tiebreaker so flat
-    recall plateaus still carry gradient signal."""
-    entries = {}
-    for i, a in enumerate(seed_anchors):
-        entries[f"w{i}"] = HyperEntry(a.w, 1.0, 2.0 * args.resolution, 0.1)
-        entries[f"h{i}"] = HyperEntry(a.h, 1.0, 2.0 * args.resolution, 0.1)
-    seed_vec = HyperVector(entries)
-    k = len(seed_anchors)
-
-    def fitness(vec: HyperVector) -> float:
-        anchors = [Anchor(vec[f"w{i}"], vec[f"h{i}"]) for i in range(k)]
-        recall, mean_iou = anchor_recall(shapes, anchors, args.threshold)
-        return recall + 1e-6 * mean_iou
-
-    cfg = GAConfig(population=args.evolve_population,
-                   generations=args.evolve_generations, seed=args.seed)
-    best, history = evolve(seed_vec, fitness, cfg)
-    anchors = sorted((Anchor(best[f"w{i}"], best[f"h{i}"]) for i in range(k)),
-                     key=lambda a: a.w * a.h)
-    recall, mean_iou = anchor_recall(shapes, anchors, args.threshold)
-    # best-so-far evolution can never lose to its own seed
-    if (recall, mean_iou) < seed_scores:
-        anchors, (recall, mean_iou) = list(seed_anchors), seed_scores
-    return anchors, recall, mean_iou, history
 
 
 def _apply_nms(dets_by_image, args):

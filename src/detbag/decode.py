@@ -31,8 +31,8 @@ class Anchor:
     h: float
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"anchor sides must be positive: {self}")
+        if not (0 < self.w < math.inf and 0 < self.h < math.inf):  # False for NaN
+            raise ValueError(f"anchor sides must be positive and finite: {self}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,15 @@ class DecodeConfig:
     sensitivity_scale: float = DEFAULT_SENSITIVITY_SCALE
 
     def __post_init__(self):
-        if self.stride <= 0:
-            raise ValueError(f"stride must be positive: {self.stride}")
-        if self.sensitivity_scale < 1.0:
+        if not (self.grid_w >= 1 and self.grid_h >= 1):
+            raise ValueError(f"grid must be at least 1x1: {self.grid_w}x{self.grid_h}")
+        if not self.anchors:
+            raise ValueError("anchors must not be empty")
+        if not 0 < self.stride < math.inf:
+            raise ValueError(f"stride must be positive and finite: {self.stride}")
+        if not 1.0 <= self.sensitivity_scale < math.inf:
             raise ValueError(
-                f"sensitivity scale must be >= 1: {self.sensitivity_scale}")
+                f"sensitivity scale must be finite and >= 1: {self.sensitivity_scale}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,14 @@ def sigmoid(x: float) -> float:
 
 def decode(p: RawPrediction, cfg: DecodeConfig) -> Decoded:
     """Decode raw head outputs into a pixel-space box plus probabilities.
-    Raises ValueError naming `p` when its box overflows or any of its
-    logits is NaN."""
+    Raises ValueError on a cell or anchor_index outside `cfg`, and naming
+    `p` when its box overflows or any of its logits is NaN."""
     c_x, c_y = p.cell
     if not (0 <= c_x < cfg.grid_w and 0 <= c_y < cfg.grid_h):
         raise ValueError(f"cell {p.cell} outside {cfg.grid_w}x{cfg.grid_h} grid")
+    if not 0 <= p.anchor_index < len(cfg.anchors):
+        raise ValueError(f"anchor_index {p.anchor_index} outside the "
+                         f"{len(cfg.anchors)} anchors")
     anchor = cfg.anchors[p.anchor_index]
     s = cfg.sensitivity_scale
     half_expand = (s - 1.0) / 2.0

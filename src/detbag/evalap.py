@@ -73,9 +73,7 @@ def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detectio
 
 def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     """Mean over the 101-point recall grid of the max precision achieved at
-    recall >= r."""
-    if recalls.size == 0:
-        return 0.0
+    recall >= r, on a non-empty curve."""
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     idx = np.searchsorted(recalls, RECALL_GRID, side="left")
     grid_prec = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)

@@ -4,7 +4,7 @@ The evolution strategy is mutation-only: each generation samples a parent
 from the current top performers (fitness-weighted), perturbs entries with
 multiplicative gaussian noise, clamps to bounds, and keeps the best vector
 ever seen. Anchor optimization is k-means under the 1 - IoU shape distance
-with median centroid updates.
+with median centroid updates; `evolve_anchors` refines its result by GA.
 """
 
 from __future__ import annotations
@@ -137,14 +137,18 @@ def evolve(seed: HyperVector, fitness, cfg: GAConfig = GAConfig(),
 
 
 def _shape_columns(shapes, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous w and h columns of an (n, 2) array of box shapes."""
+    """Contiguous w and h columns of an (n, 2) array of box shapes. Sides
+    must be finite and non-negative and each area finite, as a `Box`'s."""
     arr = np.asarray(shapes, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise ValueError(f"{name} must be a non-empty (n, 2) array of (w, h), "
                          f"got shape {arr.shape}")
-    if not arr.min() >= 0.0:  # also False for NaN
-        raise ValueError(f"{name} must have non-negative sides")
     w, h = np.ascontiguousarray(arr.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = w * h
+    # NaN fails both tests; an infinite side makes its area inf or NaN
+    if not (arr.min() >= 0.0 and area.max() < np.inf):
+        raise ValueError(f"{name} must have finite, non-negative sides and finite areas")
     return w, h
 
 
@@ -166,12 +170,15 @@ def _shape_iou(w: np.ndarray, h: np.ndarray, aw: float, ah: float) -> np.ndarray
     return out
 
 
+def _iou_columns(w: np.ndarray, h: np.ndarray, pairs) -> np.ndarray:
+    return np.stack([_shape_iou(w, h, aw, ah) for aw, ah in pairs], axis=1)
+
+
 def wh_iou_matrix(shapes_a, shapes_b) -> np.ndarray:
     """Pairwise IoU of (w, h) shapes as if concentric. (n,2)x(m,2) -> (n,m).
     Inputs are checked like `anchor_recall`'s shapes."""
     w, h = _shape_columns(shapes_a, "shapes_a")
-    bw, bh = _shape_columns(shapes_b, "shapes_b")
-    return np.stack([_shape_iou(w, h, aw, ah) for aw, ah in zip(bw, bh)], axis=1)
+    return _iou_columns(w, h, zip(*_shape_columns(shapes_b, "shapes_b")))
 
 
 def anchor_recall(shapes, anchors: list[Anchor],
@@ -179,7 +186,8 @@ def anchor_recall(shapes, anchors: list[Anchor],
     """(recall at the assignment threshold, mean best IoU) of box shapes
     against a set of anchors; the desk-scale fitness behind --evolve.
     Raises ValueError on a threshold outside (0, 1), on no anchors, and on
-    shapes that are empty, not (n, 2), or have a negative or NaN side."""
+    shapes that are empty, not (n, 2), or have a negative, NaN or infinite
+    side or an area that overflows."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold outside (0, 1): {threshold}")
     if len(anchors) == 0:
@@ -189,6 +197,32 @@ def anchor_recall(shapes, anchors: list[Anchor],
     for a in anchors[1:]:
         np.maximum(best, _shape_iou(w, h, float(a.w), float(a.h)), out=best)
     return float((best > threshold).mean()), float(best.mean())
+
+
+def evolve_anchors(shapes, seed_anchors: list[Anchor], threshold: float, *, max_side: float,
+                   population: int, generations: int, seed: int):
+    """GA refinement of anchor sides within [1, max_side]; fitness is recall at
+    the threshold plus 1e-6 x mean best IoU. Returns (anchors sorted by area,
+    recall, mean best IoU, GA history), or the seed anchors if they score higher."""
+    seed_scores = anchor_recall(shapes, seed_anchors, threshold)
+    entries = {}
+    for i, a in enumerate(seed_anchors):
+        entries[f"w{i}"] = HyperEntry(a.w, 1.0, max_side, 0.1)
+        entries[f"h{i}"] = HyperEntry(a.h, 1.0, max_side, 0.1)
+
+    def as_anchors(vec: HyperVector) -> list[Anchor]:
+        return [Anchor(vec[f"w{i}"], vec[f"h{i}"]) for i in range(len(seed_anchors))]
+
+    def fitness(vec: HyperVector) -> float:
+        recall, mean_iou = anchor_recall(shapes, as_anchors(vec), threshold)
+        return recall + 1e-6 * mean_iou
+
+    best, history = evolve(HyperVector(entries), fitness, GAConfig(population, generations, seed))
+    anchors = sorted(as_anchors(best), key=lambda a: a.w * a.h)
+    recall, mean_iou = anchor_recall(shapes, anchors, threshold)
+    if (recall, mean_iou) < seed_scores:
+        return list(seed_anchors), *seed_scores, history
+    return anchors, recall, mean_iou, history
 
 
 @dataclass(frozen=True)
@@ -201,7 +235,7 @@ class KMeansResult:
 
 def kmeans_anchors(boxes, k: int, iters: int = 100, *,
                    rng: np.random.Generator) -> KMeansResult:
-    """Cluster (w, h) box shapes into k anchors.
+    """Cluster positive (w, h) box shapes into k anchors.
 
     Distance is 1 - IoU of concentric shapes; centroids update to the
     per-cluster median of w and h (robust to outliers). The median step is
@@ -211,11 +245,10 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
     rounds) and returns the best centroids seen. Empty clusters are
     reseeded from the box farthest from its centroid.
     """
-    shapes = np.asarray(boxes, dtype=float).reshape(-1, 2)
-    if shapes.size == 0:
-        raise ValueError("no boxes to cluster")
-    if (shapes <= 0).any():
-        raise ValueError("box shapes must be positive")
+    w, h = _shape_columns(boxes, "boxes")
+    if not (w.min() > 0.0 and h.min() > 0.0):
+        raise ValueError("boxes must have positive sides")
+    shapes = np.column_stack((w, h))
     distinct = np.unique(shapes, axis=0)
     if k < 1 or k > len(distinct):
         raise ValueError(f"k={k} but only {len(distinct)} distinct shapes")
@@ -227,7 +260,7 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
     assign = np.full(len(shapes), -1)
     distances: list[float] = []
     for _ in range(iters):
-        dist = 1.0 - wh_iou_matrix(shapes, centroids)
+        dist = 1.0 - _iou_columns(w, h, centroids)
         new_assign = dist.argmin(axis=1)
         per_box = dist[np.arange(len(shapes)), new_assign]
         counts = np.bincount(new_assign, minlength=k)
@@ -257,7 +290,7 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
             if len(group):
                 centroids[c] = np.median(group, axis=0)
 
-    final = 1.0 - wh_iou_matrix(shapes, best_centroids)
+    final = 1.0 - _iou_columns(w, h, best_centroids)
     mean_best = float((1.0 - final.min(axis=1)).mean())
     order = np.argsort(best_centroids[:, 0] * best_centroids[:, 1], kind="stable")
     anchors = [Anchor(float(w), float(h)) for w, h in best_centroids[order]]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import write_dataset, write_detections
-from detbag import cli
 from detbag import evolve as evolve_module
 from detbag.cli import main
 from detbag.ingest import load_annotations, save_annotations
@@ -96,15 +95,16 @@ class TestOptimizeAnchors:
                  for _ in range(40)]
         ann = write_dataset(tmp_path, [boxes], image_size=(512, 512))
         calls = itertools.count()
+        anchor_recall = evolve_module.anchor_recall
 
         def first_generation_fails(shapes, anchors, threshold):
             # call 0 scores the k-means anchors, call 1 the GA's seed vector,
             # calls 2 and 3 the two children of generation 1
             if next(calls) in (2, 3):
                 return math.nan, math.nan
-            return evolve_module.anchor_recall(shapes, anchors, threshold)
+            return anchor_recall(shapes, anchors, threshold)
 
-        monkeypatch.setattr(cli, "anchor_recall", first_generation_fails)
+        monkeypatch.setattr(evolve_module, "anchor_recall", first_generation_fails)
         code, out, err = run(capsys, "optimize-anchors", str(ann), "--k", "2",
                              "--evolve", "--evolve-generations", "2",
                              "--evolve-population", "2", "--json")
@@ -128,6 +128,14 @@ class TestOptimizeAnchors:
                              "--iters", iters)
         assert code == 1 and out == ""
         assert err == f"error: iters must be >= 1: {iters}\n"
+
+    @pytest.mark.parametrize("resolution", [0, -5, 10**300, 10**400])
+    def test_bad_resolution_names_itself(self, tmp_path, capsys, resolution):
+        ann = write_dataset(tmp_path, [[[0, 0, 10, 20]]] * 6, image_size=(512, 512))
+        code, out, err = run(capsys, "optimize-anchors", str(ann), "--k", "1",
+                             f"--resolution={resolution}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --resolution ") and err.count("\n") == 1
 
     def test_boxes_rescaled_to_resolution(self, tmp_path, capsys):
         # a 64x64 image upscaled to resolution 512 stretches boxes by 8

@@ -108,6 +108,28 @@ class TestDecode:
         with pytest.raises(ValueError):
             make_cfg(s=0.9)
 
+    @pytest.mark.parametrize("field,value,name", [
+        ("grid_w", 0, "grid"), ("grid_h", -3, "grid"), ("anchors", (), "anchors"),
+        ("stride", math.nan, "stride"), ("stride", math.inf, "stride"),
+        ("sensitivity_scale", math.inf, "sensitivity"),
+        ("sensitivity_scale", math.nan, "sensitivity"),
+    ])
+    def test_config_rejects_bad_field(self, field, value, name):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(make_cfg(), **{field: value})
+
+    @pytest.mark.parametrize("w,h", [(math.nan, 3.0), (math.inf, 4.0), (3.0, math.nan)])
+    def test_anchor_rejects_non_finite_side(self, w, h):
+        with pytest.raises(ValueError, match="anchor sides"):
+            Anchor(w, h)
+
+    @pytest.mark.parametrize("index", [-1, 2, 5])
+    def test_anchor_index_outside_anchors_rejected(self, index):
+        cfg = make_cfg(anchors=((10.0, 10.0), (20.0, 40.0)))
+        with pytest.raises(ValueError, match="anchor_index"):
+            decode(pred(anchor_index=index), cfg)
+        assert decode(pred(anchor_index=1), cfg).box.w == 20.0
+
 
 class TestAssignAnchors:
     CFG = make_cfg(anchors=((10, 10), (20, 20), (5, 40)), stride=32.0, grid=16)

@@ -1,14 +1,16 @@
 import itertools
 import math
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
+from detbag import evolve as evolve_module
 from detbag.decode import Anchor, shape_iou
 from detbag.geometry import Box, box_iou, iou
 from detbag.evolve import (GAConfig, HyperEntry, HyperVector, KMeansResult,
-                           anchor_recall, evolve,
+                           anchor_recall, evolve, evolve_anchors,
                            kmeans_anchors, wh_iou_matrix)
 
 
@@ -174,6 +176,20 @@ class TestWhIou:
             wh_iou_matrix(shapes, np.ones((3, 2)))
         with pytest.raises(ValueError, match="shapes_b"):
             wh_iou_matrix(np.ones((3, 2)), shapes)
+
+    # an infinite side, alone or against a zero side, and an area that
+    # overflows are rejected as `Box` rejects them, with no numpy warning
+    @pytest.mark.parametrize("row", [(10.0, math.inf), (math.inf, 0.0), (1e200, 1e200)],
+                             ids=["inf-side", "inf-by-zero", "area-overflow"])
+    def test_infinite_side_or_area_rejected(self, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="shapes"):
+                anchor_recall([row], [Anchor(3, 4)], 0.5)
+            with pytest.raises(ValueError, match="shapes_a"):
+                wh_iou_matrix([row], np.ones((3, 2)))
+            with pytest.raises(ValueError, match="shapes_b"):
+                wh_iou_matrix(np.ones((3, 2)), [(5.0, 5.0), row])
 
 
 def corner_wh_iou(shapes_a, shapes_b):
@@ -374,7 +390,82 @@ class TestKMeansAnchors:
         with pytest.raises(ValueError):
             kmeans_anchors([(0.0, 1.0)], 1, rng=rng)
 
+    # an infinite, NaN or overflowing shape, a (2, 3) array that reshaping
+    # used to read as three shapes, and a flat list
+    @pytest.mark.parametrize("boxes", [
+        [(10.0, math.inf), (5.0, 5.0), (8.0, 3.0)],
+        [(1e200, 1e200), (5.0, 5.0), (8.0, 3.0)],
+        [(math.nan, 3.0), (5.0, 5.0), (8.0, 3.0)],
+        np.array([[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]]),
+        [10.0, 20.0, 30.0, 40.0],
+    ], ids=["inf-side", "area-overflow", "nan-side", "2x3", "flat"])
+    def test_boxes_checked_as_anchor_recall_shapes(self, boxes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="boxes"):
+                kmeans_anchors(boxes, 2, rng=np.random.default_rng(0))
+
     @pytest.mark.parametrize("iters", [0, -1])
     def test_iters_below_one_rejected(self, iters):
         with pytest.raises(ValueError, match="iters"):
             kmeans_anchors([(5.0, 5.0), (10.0, 20.0)], 2, iters, rng=np.random.default_rng(0))
+
+
+def cli_evolve_anchors(shapes, seed_anchors, threshold, *, max_side, population,
+                       generations, seed):
+    """Oracle: the GA set-up `detbag optimize-anchors --evolve` ran before
+    `evolve_anchors`, with `anchor_recall` looked up on the module so a
+    patched scorer reaches both."""
+    seed_scores = evolve_module.anchor_recall(shapes, seed_anchors, threshold)
+    entries = {}
+    for i, a in enumerate(seed_anchors):
+        entries[f"w{i}"] = HyperEntry(a.w, 1.0, max_side, 0.1)
+        entries[f"h{i}"] = HyperEntry(a.h, 1.0, max_side, 0.1)
+    seed_vec = HyperVector(entries)
+    k = len(seed_anchors)
+
+    def fitness(vec):
+        anchors = [Anchor(vec[f"w{i}"], vec[f"h{i}"]) for i in range(k)]
+        recall, mean_iou = evolve_module.anchor_recall(shapes, anchors, threshold)
+        return recall + 1e-6 * mean_iou
+
+    cfg = GAConfig(population=population, generations=generations, seed=seed)
+    best, history = evolve(seed_vec, fitness, cfg)
+    anchors = sorted((Anchor(best[f"w{i}"], best[f"h{i}"]) for i in range(k)),
+                     key=lambda a: a.w * a.h)
+    recall, mean_iou = evolve_module.anchor_recall(shapes, anchors, threshold)
+    if (recall, mean_iou) < seed_scores:
+        anchors, (recall, mean_iou) = list(seed_anchors), seed_scores
+    return anchors, recall, mean_iou, history
+
+
+class TestEvolveAnchors:
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_cli_setup(self, seed, k):
+        rng = np.random.default_rng(seed)
+        shapes = np.exp(rng.normal(np.log(40), 0.8, (300, 2)))
+        seed_anchors = kmeans_anchors(shapes, k, rng=rng).anchors
+        kw = dict(max_side=1024.0, population=6, generations=8, seed=seed)
+        got = evolve_anchors(shapes, seed_anchors, 0.213, **kw)
+        assert repr(got) == repr(cli_evolve_anchors(shapes, seed_anchors, 0.213, **kw))
+        assert got[1] >= anchor_recall(shapes, seed_anchors, 0.213)[0]
+        assert [h.generation for h in got[3]] == list(range(9))
+
+    def test_seed_wins_when_the_ga_scores_lower(self, monkeypatch):
+        real = evolve_module.anchor_recall
+
+        def recall_falls_as_iou_rises(shapes, anchors, threshold):
+            # fitness still rises with mean IoU, but the (recall, mean IoU)
+            # comparison then ranks every improvement below the seed
+            _, mean_iou = real(shapes, anchors, threshold)
+            return -1e-9 * mean_iou, mean_iou
+
+        monkeypatch.setattr(evolve_module, "anchor_recall", recall_falls_as_iou_rises)
+        shapes = np.exp(np.random.default_rng(5).normal(np.log(40), 0.5, (200, 2)))
+        seed_anchors = [Anchor(5.0, 5.0), Anchor(300.0, 200.0)]
+        kw = dict(max_side=512.0, population=5, generations=5, seed=5)
+        got = evolve_anchors(shapes, seed_anchors, 0.213, **kw)
+        assert repr(got) == repr(cli_evolve_anchors(shapes, seed_anchors, 0.213, **kw))
+        anchors, _, _, history = got
+        assert anchors == seed_anchors and history[-1].best > history[0].best
