@@ -17,7 +17,7 @@ import numpy as np
 
 from detbag import augment as aug
 from detbag import evalap, ingest, nms, trainsched
-from detbag.decode import DEFAULT_ASSIGN_IOU_THRESHOLD
+from detbag.decode import DEFAULT_ASSIGN_IOU_THRESHOLD, MAX_SHAPE_AREA
 from detbag.evolve import anchor_recall, evolve_anchors, kmeans_anchors
 
 
@@ -33,9 +33,9 @@ def cmd_optimize_anchors(args) -> int:
         w = ann.bbox[2] * args.resolution / im.width
         h = ann.bbox[3] * args.resolution / im.height
         if w > 0 and h > 0:
-            if not w * h < math.inf:
-                raise ValueError(f"--resolution {args.resolution} scales annotation "
-                                 f"{ann.id} to a {w}x{h} box whose area overflows")
+            if not w * h <= MAX_SHAPE_AREA:
+                raise ValueError(f"--resolution {args.resolution} scales annotation {ann.id} "
+                                 f"to a {w}x{h} box of area above {MAX_SHAPE_AREA}")
             shapes.append((w, h))
     if not shapes:
         raise ValueError("dataset contains no boxes with positive size")

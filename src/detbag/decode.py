@@ -13,6 +13,7 @@ With s = 1 this reduces exactly to the classic equation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from detbag.geometry import CenterBox
 
 DEFAULT_SENSITIVITY_SCALE = 1.1
 DEFAULT_ASSIGN_IOU_THRESHOLD = 0.213  # genetic-search value, library default
+# the largest anchor or box-shape area: the union of any two is finite
+MAX_SHAPE_AREA = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,8 @@ class Anchor:
     def __post_init__(self):
         if not (0 < self.w < math.inf and 0 < self.h < math.inf):  # False for NaN
             raise ValueError(f"anchor sides must be positive and finite: {self}")
+        if not float(self.w) * float(self.h) <= MAX_SHAPE_AREA:
+            raise ValueError(f"anchor area must be at most {MAX_SHAPE_AREA}: {self}")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from detbag.decode import Anchor
+from detbag.decode import MAX_SHAPE_AREA, Anchor
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +138,8 @@ def evolve(seed: HyperVector, fitness, cfg: GAConfig = GAConfig(),
 
 def _shape_columns(shapes, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Contiguous w and h columns of an (n, 2) array of box shapes. Sides
-    must be finite and non-negative and each area finite, as a `Box`'s."""
+    must be finite and non-negative and each area at most `MAX_SHAPE_AREA`,
+    so that the union of any two shapes is finite."""
     arr = np.asarray(shapes, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise ValueError(f"{name} must be a non-empty (n, 2) array of (w, h), "
@@ -147,8 +148,9 @@ def _shape_columns(shapes, name: str) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         area = w * h
     # NaN fails both tests; an infinite side makes its area inf or NaN
-    if not (arr.min() >= 0.0 and area.max() < np.inf):
-        raise ValueError(f"{name} must have finite, non-negative sides and finite areas")
+    if not (arr.min() >= 0.0 and area.max() <= MAX_SHAPE_AREA):
+        raise ValueError(f"{name} must have finite, non-negative sides and areas "
+                         f"at most {MAX_SHAPE_AREA}")
     return w, h
 
 
@@ -170,15 +172,22 @@ def _shape_iou(w: np.ndarray, h: np.ndarray, aw: float, ah: float) -> np.ndarray
     return out
 
 
-def _iou_columns(w: np.ndarray, h: np.ndarray, pairs) -> np.ndarray:
-    return np.stack([_shape_iou(w, h, aw, ah) for aw, ah in pairs], axis=1)
+def _recall_columns(shapes, anchors: list[Anchor], threshold: float):
+    """The (w, h) columns of `anchor_recall`'s shapes, after its checks."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold outside (0, 1): {threshold}")
+    if len(anchors) == 0:
+        raise ValueError("anchors must not be empty")
+    return _shape_columns(shapes, "shapes")
 
 
-def wh_iou_matrix(shapes_a, shapes_b) -> np.ndarray:
-    """Pairwise IoU of (w, h) shapes as if concentric. (n,2)x(m,2) -> (n,m).
-    Inputs are checked like `anchor_recall`'s shapes."""
-    w, h = _shape_columns(shapes_a, "shapes_a")
-    return _iou_columns(w, h, zip(*_shape_columns(shapes_b, "shapes_b")))
+def _recall(w: np.ndarray, h: np.ndarray, anchors: list[Anchor],
+            threshold: float) -> tuple[float, float]:
+    """`anchor_recall` of checked shape columns."""
+    best = _shape_iou(w, h, float(anchors[0].w), float(anchors[0].h))
+    for a in anchors[1:]:
+        np.maximum(best, _shape_iou(w, h, float(a.w), float(a.h)), out=best)
+    return float((best > threshold).mean()), float(best.mean())
 
 
 def anchor_recall(shapes, anchors: list[Anchor],
@@ -187,39 +196,33 @@ def anchor_recall(shapes, anchors: list[Anchor],
     against a set of anchors; the desk-scale fitness behind --evolve.
     Raises ValueError on a threshold outside (0, 1), on no anchors, and on
     shapes that are empty, not (n, 2), or have a negative, NaN or infinite
-    side or an area that overflows."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold outside (0, 1): {threshold}")
-    if len(anchors) == 0:
-        raise ValueError("anchors must not be empty")
-    w, h = _shape_columns(shapes, "shapes")
-    best = _shape_iou(w, h, float(anchors[0].w), float(anchors[0].h))
-    for a in anchors[1:]:
-        np.maximum(best, _shape_iou(w, h, float(a.w), float(a.h)), out=best)
-    return float((best > threshold).mean()), float(best.mean())
+    side or an area above `MAX_SHAPE_AREA`."""
+    return _recall(*_recall_columns(shapes, anchors, threshold), anchors, threshold)
 
 
 def evolve_anchors(shapes, seed_anchors: list[Anchor], threshold: float, *, max_side: float,
                    population: int, generations: int, seed: int):
     """GA refinement of anchor sides within [1, max_side]; fitness is recall at
-    the threshold plus 1e-6 x mean best IoU. Returns (anchors sorted by area,
-    recall, mean best IoU, GA history), or the seed anchors if they score higher."""
-    seed_scores = anchor_recall(shapes, seed_anchors, threshold)
+    the threshold plus 1e-6 x mean best IoU. The GA starts from the seed sides
+    clamped into those bounds. Returns (anchors sorted by area, recall, mean
+    best IoU, GA history), or the seed anchors if they score higher."""
+    w, h = _recall_columns(shapes, seed_anchors, threshold)
+    seed_scores = _recall(w, h, seed_anchors, threshold)
     entries = {}
     for i, a in enumerate(seed_anchors):
-        entries[f"w{i}"] = HyperEntry(a.w, 1.0, max_side, 0.1)
-        entries[f"h{i}"] = HyperEntry(a.h, 1.0, max_side, 0.1)
+        entries[f"w{i}"] = HyperEntry(min(max(a.w, 1.0), max_side), 1.0, max_side, 0.1)
+        entries[f"h{i}"] = HyperEntry(min(max(a.h, 1.0), max_side), 1.0, max_side, 0.1)
 
     def as_anchors(vec: HyperVector) -> list[Anchor]:
         return [Anchor(vec[f"w{i}"], vec[f"h{i}"]) for i in range(len(seed_anchors))]
 
     def fitness(vec: HyperVector) -> float:
-        recall, mean_iou = anchor_recall(shapes, as_anchors(vec), threshold)
+        recall, mean_iou = _recall(w, h, as_anchors(vec), threshold)
         return recall + 1e-6 * mean_iou
 
     best, history = evolve(HyperVector(entries), fitness, GAConfig(population, generations, seed))
     anchors = sorted(as_anchors(best), key=lambda a: a.w * a.h)
-    recall, mean_iou = anchor_recall(shapes, anchors, threshold)
+    recall, mean_iou = _recall(w, h, anchors, threshold)
     if (recall, mean_iou) < seed_scores:
         return list(seed_anchors), *seed_scores, history
     return anchors, recall, mean_iou, history
@@ -228,9 +231,8 @@ def evolve_anchors(shapes, seed_anchors: list[Anchor], threshold: float, *, max_
 @dataclass(frozen=True)
 class KMeansResult:
     anchors: list[Anchor]  # sorted by area, ascending
-    mean_best_iou: float
     # total 1 - IoU assignment distance recorded after each assignment step
-    distance_per_iteration: list[float] = field(default_factory=list)
+    distance_per_iteration: list[float]
 
 
 def kmeans_anchors(boxes, k: int, iters: int = 100, *,
@@ -260,7 +262,7 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
     assign = np.full(len(shapes), -1)
     distances: list[float] = []
     for _ in range(iters):
-        dist = 1.0 - _iou_columns(w, h, centroids)
+        dist = 1.0 - np.stack([_shape_iou(w, h, aw, ah) for aw, ah in centroids], axis=1)
         new_assign = dist.argmin(axis=1)
         per_box = dist[np.arange(len(shapes)), new_assign]
         counts = np.bincount(new_assign, minlength=k)
@@ -290,8 +292,6 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
             if len(group):
                 centroids[c] = np.median(group, axis=0)
 
-    final = 1.0 - _iou_columns(w, h, best_centroids)
-    mean_best = float((1.0 - final.min(axis=1)).mean())
     order = np.argsort(best_centroids[:, 0] * best_centroids[:, 1], kind="stable")
     anchors = [Anchor(float(w), float(h)) for w, h in best_centroids[order]]
-    return KMeansResult(anchors, mean_best, distances)
+    return KMeansResult(anchors, distances)

@@ -8,6 +8,7 @@ are deterministic across platforms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,9 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
         raise ValueError(f"unknown soft-nms mode: {mode!r}")
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold outside [0, 1]: {iou_threshold}")
-    if mode == "gaussian" and not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive: {sigma}")
+    # a squared IoU over a subnormal sigma can overflow
+    if mode == "gaussian" and not sys.float_info.min <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and at least {sys.float_info.min}: {sigma}")
 
     if mode == "linear":
         def decay(overlap, scores):

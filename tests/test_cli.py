@@ -95,16 +95,16 @@ class TestOptimizeAnchors:
                  for _ in range(40)]
         ann = write_dataset(tmp_path, [boxes], image_size=(512, 512))
         calls = itertools.count()
-        anchor_recall = evolve_module.anchor_recall
+        recall = evolve_module._recall
 
-        def first_generation_fails(shapes, anchors, threshold):
+        def first_generation_fails(w, h, anchors, threshold):
             # call 0 scores the k-means anchors, call 1 the GA's seed vector,
             # calls 2 and 3 the two children of generation 1
             if next(calls) in (2, 3):
                 return math.nan, math.nan
-            return anchor_recall(shapes, anchors, threshold)
+            return recall(w, h, anchors, threshold)
 
-        monkeypatch.setattr(evolve_module, "anchor_recall", first_generation_fails)
+        monkeypatch.setattr(evolve_module, "_recall", first_generation_fails)
         code, out, err = run(capsys, "optimize-anchors", str(ann), "--k", "2",
                              "--evolve", "--evolve-generations", "2",
                              "--evolve-population", "2", "--json")
@@ -112,6 +112,26 @@ class TestOptimizeAnchors:
         history = json.loads(out)["ga_history"]
         assert history[1][2] is None
         assert isinstance(history[2][2], float)
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_evolve_from_sub_pixel_anchors(self, tmp_path, capsys, json_flag):
+        # at --resolution 2 the 1-60 px boxes of 64x48 images shrink below a
+        # pixel, and so do k-means sides that the GA bounds to [1, 4]
+        rng = np.random.default_rng(251)
+        boxes = [[[2, 2, float(rng.uniform(1, 60)), float(rng.uniform(1, 40))]
+                  for _ in range(6)] for _ in range(3)]
+        ann = write_dataset(tmp_path, boxes, image_size=(64, 48))
+        argv = ["optimize-anchors", str(ann), "--k", "3", "--resolution", "2", *json_flag]
+        code, plain, err = run(capsys, *argv)
+        assert code == 0, err
+        code, out, err = run(capsys, *argv, "--evolve")
+        assert (code, err) == (0, "")
+        if json_flag:
+            plain, out = json.loads(plain), json.loads(out)
+            assert min(min(a) for a in plain["anchors"]) < 1.0
+            assert out["recall"] >= plain["recall"]
+        else:
+            assert out.splitlines()[-1].startswith("recall@0.213: ")
 
     @pytest.mark.parametrize("threshold", ["nan", "1.5"])
     def test_bad_threshold_fails_cleanly(self, tmp_path, capsys, threshold):

@@ -1,11 +1,12 @@
 """Bad flag values at the CLI: exit 0 or 1, at most one `error:` line, no
 traceback or warning, and no NaN or infinity in a successful output.
 
-`cli.main` runs in-process on a small seeded set. Integer flags draw from
+`cli.main` runs in-process on small seeded sets. Integer flags draw from
 negatives, 0 and huge integers (argparse itself rejects "nan" for them, with
 exit 2 and a usage line); float flags also draw NaN, ±inf and 1e308. Counts
-that set a run's length (`--iters` and the GA sizes) draw only small or
-invalid values, since a huge valid count is a long run, not bad input.
+that set a run's length (`--iters`, the GA sizes and `--steps`) draw only
+small or invalid values, since a huge valid count is a long run, not bad
+input. Choice flags draw only their choices, which argparse enforces.
 """
 
 import io
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_dataset
+from conftest import write_dataset, write_detections
 from detbag.cli import main
 
 HUGE_INTS = [10**300, 10**308, 10**400]
@@ -39,6 +40,24 @@ OPTIMIZE_ANCHORS_FLAGS = {
 }
 
 
+EVAL_FLAGS = {
+    "--nms": st.none() | st.sampled_from(["none", "greedy", "soft", "diou"]),
+    "--nms-threshold": _flag(["0.45", "-0.5"], BAD_FLOATS),
+    "--sigma": _flag(["0.5", "2"], [*BAD_FLOATS, "1e-320"]),
+    "--soft-mode": st.none() | st.sampled_from(["linear", "gaussian"]),
+}
+
+SCHEDULE_FLAGS = {
+    "--kind": st.sampled_from(["cosine", "step"]),
+    "--steps": st.sampled_from([1, 3, -5, 0]),
+    "--lr-max": _flag(["0.01", "1"], BAD_FLOATS),
+    "--lr-min": _flag(["0", "0.001"], BAD_FLOATS),
+    "--lr0": _flag(["0.01", "2"], BAD_FLOATS),
+    "--milestones": _flag(["1,2", "2", ""], ["2,1", "-1", "1.5", "x", str(10**400)]),
+    "--factor": _flag(["0.1", "0.5"], BAD_FLOATS),
+}
+
+
 @pytest.fixture(scope="module")
 def annotations(tmp_path_factory):
     rng = np.random.default_rng(251)
@@ -46,6 +65,24 @@ def annotations(tmp_path_factory):
               for _ in range(6)] for _ in range(3)]
     return str(write_dataset(tmp_path_factory.mktemp("anchors"), boxes,
                              image_size=(64, 48)))
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    """(detections, annotations) paths: two images, two classes, and
+    overlapping detections for every suppression mode to act on."""
+    root = tmp_path_factory.mktemp("eval")
+    rng = np.random.default_rng(257)
+    truths = [[[float(x), float(y), 12.0, 10.0] for x, y in rng.uniform(0, 40, (4, 2))]
+              for _ in range(2)]
+    records = [{"image_id": img, "category_id": 1 + i % 2,
+                "bbox": [b[0] + float(dx), b[1] + float(dy), b[2], b[3]],
+                "score": float(score)}
+               for img, boxes in enumerate(truths, start=1)
+               for i, b in enumerate(boxes)
+               for dx, dy, score in rng.uniform([-3, -3, 0.05], [3, 3, 1.0], (3, 3))]
+    return (str(write_detections(root, records)),
+            str(write_dataset(root, truths, categories=(1, 2))))
 
 
 def run_main(argv):
@@ -79,4 +116,22 @@ def test_optimize_anchors_flags(annotations, flags, evolve, json):
     argv = ["optimize-anchors", annotations]
     argv += [f"{name}={value}" for name, value in flags.items() if value is not None]
     argv += ["--evolve"] * evolve + ["--json"] * json
+    check_exit(*run_main(argv))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(flags=st.fixed_dictionaries(EVAL_FLAGS), json=st.booleans())
+@example(flags={"--nms": "soft", "--soft-mode": "gaussian", "--sigma": "1e-320"}, json=False)
+def test_eval_flags(eval_files, flags, json):
+    argv = ["eval", *eval_files]
+    argv += [f"{name}={value}" for name, value in flags.items() if value is not None]
+    argv += ["--json"] * json
+    check_exit(*run_main(argv))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(flags=st.fixed_dictionaries(SCHEDULE_FLAGS))
+def test_schedule_flags(flags):
+    argv = ["schedule"]
+    argv += [f"{name}={value}" for name, value in flags.items() if value is not None]
     check_exit(*run_main(argv))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,15 @@ class TestDecode:
     def test_anchor_rejects_non_finite_side(self, w, h):
         with pytest.raises(ValueError, match="anchor sides"):
             Anchor(w, h)
+
+    # the union of two such anchors would overflow; numpy sides warn on
+    # an overflowing product, Python floats do not
+    @pytest.mark.parametrize("w,h", [(1e154, 1e154), (np.float64(1e200), np.float64(1e200))])
+    def test_anchor_rejects_area_above_bound(self, w, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="anchor area"):
+                Anchor(w, h)
 
     @pytest.mark.parametrize("index", [-1, 2, 5])
     def test_anchor_index_outside_anchors_rejected(self, index):

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from detbag import evolve as evolve_module
-from detbag.decode import Anchor, shape_iou
+from detbag.decode import MAX_SHAPE_AREA, Anchor, shape_iou
 from detbag.geometry import Box, box_iou, iou
 from detbag.evolve import (GAConfig, HyperEntry, HyperVector, KMeansResult,
-                           anchor_recall, evolve, evolve_anchors,
-                           kmeans_anchors, wh_iou_matrix)
+                           anchor_recall, evolve, evolve_anchors, kmeans_anchors)
 
 
 def sphere_fitness(target: dict[str, float]):
@@ -123,6 +122,16 @@ class TestEvolve:
             GAConfig(population=0)
 
 
+def wh_iou_matrix(shapes_a, shapes_b):
+    """Pairwise IoU of concentric (w, h) shapes, (n, 2) x (m, 2) -> (n, m),
+    from the private kernel behind `anchor_recall` and `kmeans_anchors`:
+    both inputs checked as their shapes are, one kernel call per column."""
+    w, h = evolve_module._shape_columns(shapes_a, "shapes_a")
+    bw, bh = evolve_module._shape_columns(shapes_b, "shapes_b")
+    return np.stack([evolve_module._shape_iou(w, h, aw, ah) for aw, ah in zip(bw, bh)],
+                    axis=1)
+
+
 class TestWhIou:
     def test_concentric_values(self):
         m = wh_iou_matrix(np.array([[10.0, 10.0]]),
@@ -177,10 +186,13 @@ class TestWhIou:
         with pytest.raises(ValueError, match="shapes_b"):
             wh_iou_matrix(np.ones((3, 2)), shapes)
 
-    # an infinite side, alone or against a zero side, and an area that
-    # overflows are rejected as `Box` rejects them, with no numpy warning
-    @pytest.mark.parametrize("row", [(10.0, math.inf), (math.inf, 0.0), (1e200, 1e200)],
-                             ids=["inf-side", "inf-by-zero", "area-overflow"])
+    # an infinite side, alone or against a zero side, an area that
+    # overflows, and a finite area whose union with itself would overflow
+    # are rejected, with no numpy warning
+    @pytest.mark.parametrize("row", [(10.0, math.inf), (math.inf, 0.0), (1e200, 1e200),
+                                     (1e154, 1e154)],
+                             ids=["inf-side", "inf-by-zero", "area-overflow",
+                                  "area-above-bound"])
     def test_infinite_side_or_area_rejected(self, row):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -190,6 +202,14 @@ class TestWhIou:
                 wh_iou_matrix([row], np.ones((3, 2)))
             with pytest.raises(ValueError, match="shapes_b"):
                 wh_iou_matrix(np.ones((3, 2)), [(5.0, 5.0), row])
+
+    def test_largest_shape_scores_iou_one_against_itself(self):
+        # the union of two shapes of area MAX_SHAPE_AREA is finite
+        big = (2.0**511, MAX_SHAPE_AREA / 2.0**511)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert anchor_recall([big, big], [Anchor(*big)], 0.5) == (1.0, 1.0)
+            assert wh_iou_matrix([big], [big]).tolist() == [[1.0]]
 
 
 def corner_wh_iou(shapes_a, shapes_b):
@@ -268,7 +288,7 @@ def masked_kmeans(boxes, k, rng):
     assign = np.full(len(shapes), -1)
     distances, reseeds = [], 0
     for _ in range(100):
-        dist = 1.0 - wh_iou_matrix(shapes, centroids)
+        dist = 1.0 - corner_wh_iou(shapes, centroids)
         new_assign = dist.argmin(axis=1)
         per_box = dist[np.arange(len(shapes)), new_assign]
         for c in range(k):
@@ -288,11 +308,9 @@ def masked_kmeans(boxes, k, rng):
         assign = new_assign
         for c in range(k):
             centroids[c] = np.median(shapes[assign == c], axis=0)
-    final = 1.0 - wh_iou_matrix(shapes, best_centroids)
-    mean_best = float((1.0 - final.min(axis=1)).mean())
     order = np.argsort(best_centroids[:, 0] * best_centroids[:, 1], kind="stable")
     anchors = [Anchor(float(w), float(h)) for w, h in best_centroids[order]]
-    return KMeansResult(anchors, mean_best, distances), reseeds
+    return KMeansResult(anchors, distances), reseeds
 
 
 # (shapes, k, rng seed, reseeds the reference makes)
@@ -323,14 +341,13 @@ class TestKMeansAnchors:
         res = kmeans_anchors(shapes, 8, rng=np.random.default_rng(6550))
         assert len(res.anchors) == 8
         assert all(math.isfinite(a.w) and math.isfinite(a.h) for a in res.anchors)
-        assert 0.0 < res.mean_best_iou <= 1.0
         d = res.distance_per_iteration
         assert all(a >= b for a, b in zip(d, d[1:]))
 
     def test_identical_boxes_k1(self):
         res = kmeans_anchors([(12.0, 20.0)] * 50, 1, rng=np.random.default_rng(0))
         assert (res.anchors[0].w, res.anchors[0].h) == (12.0, 20.0)
-        assert res.mean_best_iou == pytest.approx(1.0)
+        assert anchor_recall([(12.0, 20.0)] * 50, res.anchors, 0.5) == (1.0, 1.0)
 
     def test_each_box_its_own_anchor(self):
         boxes = [(5.0, 5.0), (10.0, 20.0), (40.0, 8.0)]
@@ -398,7 +415,8 @@ class TestKMeansAnchors:
         [(math.nan, 3.0), (5.0, 5.0), (8.0, 3.0)],
         np.array([[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]]),
         [10.0, 20.0, 30.0, 40.0],
-    ], ids=["inf-side", "area-overflow", "nan-side", "2x3", "flat"])
+        [(1e154, 1e154), (5.0, 5.0), (8.0, 3.0)],
+    ], ids=["inf-side", "area-overflow", "nan-side", "2x3", "flat", "area-above-bound"])
     def test_boxes_checked_as_anchor_recall_shapes(self, boxes):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -414,8 +432,8 @@ class TestKMeansAnchors:
 def cli_evolve_anchors(shapes, seed_anchors, threshold, *, max_side, population,
                        generations, seed):
     """Oracle: the GA set-up `detbag optimize-anchors --evolve` ran before
-    `evolve_anchors`, with `anchor_recall` looked up on the module so a
-    patched scorer reaches both."""
+    `evolve_anchors`, for seed sides within [1, max_side]; `anchor_recall`
+    scores through the module's `_recall`, so a patched scorer reaches both."""
     seed_scores = evolve_module.anchor_recall(shapes, seed_anchors, threshold)
     entries = {}
     for i, a in enumerate(seed_anchors):
@@ -453,15 +471,15 @@ class TestEvolveAnchors:
         assert [h.generation for h in got[3]] == list(range(9))
 
     def test_seed_wins_when_the_ga_scores_lower(self, monkeypatch):
-        real = evolve_module.anchor_recall
+        real = evolve_module._recall
 
-        def recall_falls_as_iou_rises(shapes, anchors, threshold):
+        def recall_falls_as_iou_rises(w, h, anchors, threshold):
             # fitness still rises with mean IoU, but the (recall, mean IoU)
             # comparison then ranks every improvement below the seed
-            _, mean_iou = real(shapes, anchors, threshold)
+            _, mean_iou = real(w, h, anchors, threshold)
             return -1e-9 * mean_iou, mean_iou
 
-        monkeypatch.setattr(evolve_module, "anchor_recall", recall_falls_as_iou_rises)
+        monkeypatch.setattr(evolve_module, "_recall", recall_falls_as_iou_rises)
         shapes = np.exp(np.random.default_rng(5).normal(np.log(40), 0.5, (200, 2)))
         seed_anchors = [Anchor(5.0, 5.0), Anchor(300.0, 200.0)]
         kw = dict(max_side=512.0, population=5, generations=5, seed=5)
@@ -469,3 +487,51 @@ class TestEvolveAnchors:
         assert repr(got) == repr(cli_evolve_anchors(shapes, seed_anchors, 0.213, **kw))
         anchors, _, _, history = got
         assert anchors == seed_anchors and history[-1].best > history[0].best
+
+    def test_shapes_checked_once_per_search(self, monkeypatch):
+        calls = []
+        real = evolve_module._shape_columns
+
+        def counting(shapes, name):
+            calls.append(name)
+            return real(shapes, name)
+
+        monkeypatch.setattr(evolve_module, "_shape_columns", counting)
+        shapes = np.exp(np.random.default_rng(7).normal(np.log(40), 0.5, (100, 2)))
+        evolve_anchors(shapes, [Anchor(20.0, 30.0), Anchor(60.0, 40.0)], 0.213,
+                       max_side=512.0, population=4, generations=3, seed=7)
+        assert calls == ["shapes"]
+
+    @pytest.mark.parametrize("threshold,anchors,match", [
+        (1.5, [Anchor(3.0, 4.0)], "threshold"), (0.5, [], "anchors")])
+    def test_checks_threshold_and_anchors_as_anchor_recall(self, threshold, anchors, match):
+        with pytest.raises(ValueError, match=match):
+            evolve_anchors([(3.0, 4.0)], anchors, threshold, max_side=8.0,
+                           population=2, generations=1, seed=0)
+
+    def test_seed_sides_outside_bounds_start_clamped(self):
+        # a sub-pixel and an oversized k-means anchor: the GA starts from
+        # their sides clamped into [1, max_side]
+        rng = np.random.default_rng(11)
+        shapes = np.vstack([rng.uniform(0.05, 0.9, (40, 2)), rng.uniform(2.0, 7.0, (40, 2))])
+        seed_anchors = [Anchor(0.4, 0.3), Anchor(20.0, 9.0)]
+        kw = dict(max_side=8.0, population=4, generations=5, seed=11)
+        anchors, recall, mean_iou, history = evolve_anchors(shapes, seed_anchors, 0.213, **kw)
+        seed_scores = anchor_recall(shapes, seed_anchors, 0.213)
+        assert (recall, mean_iou) >= seed_scores
+        assert (recall, mean_iou) == anchor_recall(shapes, anchors, 0.213)
+        clamped_recall, clamped_iou = anchor_recall(
+            shapes, [Anchor(1.0, 1.0), Anchor(8.0, 8.0)], 0.213)
+        assert history[0].best == clamped_recall + 1e-6 * clamped_iou
+        assert all(1.0 <= side <= 8.0 for a in anchors for side in (a.w, a.h))
+
+    def test_unclamped_seed_wins_when_it_scores_higher(self):
+        # every shape is sub-pixel, so no anchor within [1, max_side] matches
+        shapes = np.random.default_rng(13).uniform(0.2, 0.5, (50, 2))
+        seed_anchors = [Anchor(0.35, 0.35)]
+        anchors, recall, mean_iou, history = evolve_anchors(
+            shapes, seed_anchors, 0.213, max_side=4.0, population=4, generations=3, seed=13)
+        assert anchors == seed_anchors
+        assert (recall, mean_iou) == anchor_recall(shapes, seed_anchors, 0.213)
+        assert history[-1].best < recall
+

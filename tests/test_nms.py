@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -305,11 +307,21 @@ class TestSoft:
         ({"sigma": math.inf, "mode": "gaussian"}, "sigma"),
         ({"sigma": 0.0, "mode": "gaussian"}, "sigma"),
         ({"sigma": -1.0, "mode": "gaussian"}, "sigma"),
+        ({"sigma": 1e-320, "mode": "gaussian"}, "sigma"),  # subnormal
+        ({"sigma": 5e-324, "mode": "gaussian"}, "sigma"),
     ])
     def test_bad_argument_named(self, kwargs, name):
         dets = [Detection(Box(0, 0, 2, 2), 0.9, 0), Detection(Box(0, 0, 2, 2), 0.8, 0)]
         with pytest.raises(ValueError, match=name):
             soft_nms(dets, **kwargs)
+
+    def test_smallest_normal_sigma_decays_without_overflow(self):
+        dets = [Detection(Box(0, 0, 2, 2), 0.9, 0), Detection(Box(0, 0, 2, 2), 0.8, 0),
+                Detection(Box(0, 0, 2, 1), 0.7, 0), Detection(Box(5, 5, 6, 6), 0.6, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = soft_nms(dets, 0.5, sigma=sys.float_info.min, mode="gaussian")
+        assert [(d.box, d.score) for d in out] == [(dets[0].box, 0.9), (dets[3].box, 0.6)]
 
     @pytest.mark.parametrize("mode", ["linear", "gaussian"])
     def test_tie_after_decay_picks_lower_input_index(self, mode):
