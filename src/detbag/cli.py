@@ -17,8 +17,9 @@ import numpy as np
 
 from detbag import augment as aug
 from detbag import evalap, ingest, nms, trainsched
-from detbag.decode import DEFAULT_ASSIGN_IOU_THRESHOLD, MAX_SHAPE_AREA
+from detbag.decode import DEFAULT_ASSIGN_IOU_THRESHOLD
 from detbag.evolve import anchor_recall, evolve_anchors, kmeans_anchors
+from detbag.geometry import MAX_SHAPE_AREA
 
 
 def cmd_optimize_anchors(args) -> int:
@@ -149,6 +150,8 @@ def cmd_augment(args) -> int:
                 raise ValueError(f"--{name} draws from a range 2 * {value} wide, which overflows")
     if args.op == "mosaic" and args.out_size < 2:
         raise ValueError(f"--out-size must be >= 2: {args.out_size}")
+    if args.op == "blur" and args.radius < 0:
+        raise ValueError(f"--radius must be >= 0: {args.radius}")
     index = ingest.load_annotations(args.annotations)
     samples = _load_samples(index, Path(args.images_dir))
     rng = np.random.default_rng(args.seed)
@@ -190,6 +193,19 @@ def cmd_augment(args) -> int:
     return 0
 
 
+def _milestones(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated --milestones list; empty entries skip."""
+    out = []
+    for i, entry in enumerate(text.split(","), start=1):
+        if entry:
+            try:
+                out.append(int(entry))
+            except ValueError:
+                raise ValueError(f"--milestones entry {i} is not an integer: "
+                                 f"{entry!r}") from None
+    return tuple(out)
+
+
 def cmd_schedule(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1: {args.steps}")
@@ -198,7 +214,7 @@ def cmd_schedule(args) -> int:
         for t in range(args.steps + 1):
             rows.append(f"{t},{trainsched.cosine_lr(t, args.steps, args.lr_max, args.lr_min)!r}")
     else:
-        milestones = tuple(int(m) for m in args.milestones.split(",") if m)
+        milestones = _milestones(args.milestones)
         for t in range(args.steps + 1):
             rows.append(f"{t},{trainsched.step_decay_lr(t, milestones, args.lr0, args.factor)!r}")
     text = "\n".join(rows) + "\n"
@@ -279,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's own message names no flag
+            raise ValueError(f"--seed must be >= 0: {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

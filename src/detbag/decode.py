@@ -13,17 +13,14 @@ With s = 1 this reduces exactly to the classic equation.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from detbag.geometry import CenterBox
+from detbag.geometry import MAX_SHAPE_AREA, CenterBox
 
 DEFAULT_SENSITIVITY_SCALE = 1.1
 DEFAULT_ASSIGN_IOU_THRESHOLD = 0.213  # genetic-search value, library default
-# the largest anchor or box-shape area: the union of any two is finite
-MAX_SHAPE_AREA = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)

@@ -71,15 +71,6 @@ def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detectio
     return out
 
 
-def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
-    """Mean over the 101-point recall grid of the max precision achieved at
-    recall >= r, on a non-empty curve."""
-    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
-    idx = np.searchsorted(recalls, RECALL_GRID, side="left")
-    grid_prec = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)
-    return float(grid_prec.mean())
-
-
 def _bucket_masks(boxes: np.ndarray) -> np.ndarray:
     """(4, n) in-bucket flags of corner rows, in `_BUCKETS` order."""
     area = box_area(boxes)
@@ -123,12 +114,12 @@ def _match(ious: np.ndarray, truth_in: np.ndarray,
 
 
 def _curve_ap(tp: np.ndarray, counted: np.ndarray, n_pos: int) -> float:
-    hits = tp[counted]
-    if not hits.size:
-        return 0.0
-    cum_tp = np.cumsum(hits)
-    cum_fp = np.cumsum(~hits)
-    return _interpolated_ap(cum_tp / n_pos, cum_tp / (cum_tp + cum_fp))
+    """Mean over the 101-point recall grid of the max precision reached at
+    recall >= r on the counted part of one ranked curve; 0 past its end."""
+    cum_tp = np.cumsum(tp[counted])
+    precision = cum_tp / np.arange(1, cum_tp.size + 1)  # cum_tp + cum_fp is 1..n
+    envelope = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    return float(envelope[np.searchsorted(cum_tp / n_pos, RECALL_GRID, side="left")].mean())
 
 
 def evaluate(dets: Mapping[int, Sequence[Detection]],
@@ -155,10 +146,10 @@ def evaluate(dets: Mapping[int, Sequence[Detection]],
     t_in, d_in = _bucket_masks(tc), _bucket_masks(dc)
     ranked = np.argsort(-scores, kind="stable")  # (-score, submission) order
 
-    # ap[bucket][threshold] = list of per-class APs
-    per_class: dict[str, dict[float, list[float]]] = {
-        b: {t: [] for t in IOU_THRESHOLDS} for b in _BUCKETS}
-    for cid in dict.fromkeys(t_cls.tolist() + d_cls.tolist()):
+    classes = list(dict.fromkeys(t_cls.tolist() + d_cls.tolist()))
+    # NaN where the bucket holds no truth of the class
+    ap = np.full((len(_BUCKETS), len(_THRESHOLDS), len(classes)), np.nan)
+    for c, cid in enumerate(classes):
         tk = np.flatnonzero(t_cls == cid)  # grouped by image: t_img never decreases
         n_pos = t_in[:, tk].sum(axis=1)
         if not n_pos.any():
@@ -175,22 +166,10 @@ def evaluate(dets: Mapping[int, Sequence[Detection]],
             di, ti = dk[rows], tk[first:last]
             tp[:, :, rows], counted[:, :, rows] = _match(
                 box_iou(dc[di][:, None], tc[ti][None, :]), t_in[:, ti], d_in[:, di])
-        for b, bucket in enumerate(_BUCKETS):
-            if n_pos[b] == 0:
-                continue
-            for t, thr in enumerate(IOU_THRESHOLDS):
-                per_class[bucket][thr].append(
-                    _curve_ap(tp[b, t], counted[b, t], int(n_pos[b])))
+        for b in np.flatnonzero(n_pos):
+            for t in range(len(_THRESHOLDS)):
+                ap[b, t, c] = _curve_ap(tp[b, t], counted[b, t], n_pos[b])
 
-    def bucket_mean(bucket: str, thresholds=IOU_THRESHOLDS) -> float | None:
-        vals = [v for t in thresholds for v in per_class[bucket][t]]
-        return float(np.mean(vals)) if vals else None
-
-    return EvalResult(
-        ap=bucket_mean("all"),
-        ap50=bucket_mean("all", (IOU_THRESHOLDS[0],)),
-        ap75=bucket_mean("all", (IOU_THRESHOLDS[5],)),
-        ap_small=bucket_mean("small"),
-        ap_medium=bucket_mean("medium"),
-        ap_large=bucket_mean("large"),
-    )
+    # each mean runs over a slice's classes with truth, threshold-major
+    vals = [a[~np.isnan(a)] for a in (ap[0], ap[0, 0], ap[0, 5], ap[1], ap[2], ap[3])]
+    return EvalResult(*(float(v.mean()) if v.size else None for v in vals))

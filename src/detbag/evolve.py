@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from detbag.decode import MAX_SHAPE_AREA, Anchor
+from detbag.decode import Anchor
+from detbag.geometry import MAX_SHAPE_AREA
 
 logger = logging.getLogger(__name__)
 

@@ -10,9 +10,13 @@ corner arrays, used by suppression, evaluation and anchor clustering.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+# the largest box, anchor or box-shape area: the union of any two is finite
+MAX_SHAPE_AREA = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -29,8 +33,9 @@ class Box:
         # overflowing side makes the area inf or NaN and fails the last test
         if not (-math.inf < self.x_min <= self.x_max < math.inf
                 and -math.inf < self.y_min <= self.y_max < math.inf
-                and (self.x_max - self.x_min) * (self.y_max - self.y_min) < math.inf):
-            raise ValueError(f"degenerate or non-finite box or area: {self}")
+                and (self.x_max - self.x_min) * (self.y_max - self.y_min) <= MAX_SHAPE_AREA):
+            raise ValueError(f"degenerate or non-finite box or area above "
+                             f"{MAX_SHAPE_AREA}: {self}")
 
     @property
     def width(self) -> float:
@@ -64,8 +69,10 @@ class CenterBox:
 
     def __post_init__(self):
         if not (-math.inf < self.x_c < math.inf and -math.inf < self.y_c < math.inf
-                and 0 <= self.w < math.inf and 0 <= self.h < math.inf):
-            raise ValueError(f"negative box size or non-finite box: {self}")
+                and 0 <= self.w < math.inf and 0 <= self.h < math.inf
+                and self.w * self.h <= MAX_SHAPE_AREA):
+            raise ValueError(f"negative box size or non-finite box or area above "
+                             f"{MAX_SHAPE_AREA}: {self}")
 
     @property
     def area(self) -> float:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from detbag.geometry import Box
+from detbag.geometry import MAX_SHAPE_AREA, Box
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,8 @@ def parse_annotations(data: dict) -> DatasetIndex:
             ann.to_box()
         except ValueError:
             raise ValueError(
-                f"annotation {ann.id} has a non-finite bbox or area: {ann.bbox}") from None
+                f"annotation {ann.id} has a non-finite bbox or area above "
+                f"{MAX_SHAPE_AREA}: {ann.bbox}") from None
         annotations.append(ann)
     return DatasetIndex(tuple(images), tuple(annotations), tuple(categories))
 

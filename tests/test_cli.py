@@ -157,6 +157,11 @@ class TestOptimizeAnchors:
         assert code == 1 and out == ""
         assert err.startswith("error: --resolution ") and err.count("\n") == 1
 
+    def test_negative_seed_named_before_loading(self, tmp_path, capsys):
+        code, out, err = run(capsys, "optimize-anchors", str(tmp_path / "missing.json"),
+                             "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: --seed must be >= 0: -1\n")
+
     def test_boxes_rescaled_to_resolution(self, tmp_path, capsys):
         # a 64x64 image upscaled to resolution 512 stretches boxes by 8
         ann = write_dataset(tmp_path, [[[0, 0, 8, 4]]] * 3, image_size=(64, 64))
@@ -401,6 +406,17 @@ class TestAugment:
         assert err == f"error: --out-size must be >= 2: {size}\n"
         assert not out_dir.exists()
 
+    # checked before loading: the annotations file does not exist
+    @pytest.mark.parametrize("argv,message", [
+        (("--op", "blur", "--radius", "-1"), "--radius must be >= 0: -1"),
+        (("--op", "mixup", "--seed", "-1"), "--seed must be >= 0: -1")])
+    def test_bad_flag_named_before_loading(self, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "augment", str(tmp_path / "missing.json"), str(tmp_path),
+                             "--out-dir", str(out_dir), *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
     def test_missing_images_listed(self, tmp_path, capsys):
         ann = write_dataset(tmp_path, [[[8, 8, 16, 12]]] * 2,
                             image_size=(32, 32), with_images=False)
@@ -431,6 +447,14 @@ class TestSchedule:
     def test_overflowing_rate_fails_cleanly(self, capsys, argv, message):
         code, out, err = run(capsys, "schedule", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("milestones,message", [
+        ("x", "entry 1 is not an integer: 'x'"),
+        ("1,,1.5", "entry 3 is not an integer: '1.5'")])
+    def test_bad_milestone_entry_named(self, capsys, milestones, message):
+        code, out, err = run(capsys, "schedule", "--kind", "step", f"--milestones={milestones}",
+                             "--steps", "2")
+        assert (code, out, err) == (1, "", f"error: --milestones {message}\n")
 
     def test_cosine_endpoints_and_row_count(self, capsys):
         code, out, _ = run(capsys, "schedule", "--kind", "cosine",

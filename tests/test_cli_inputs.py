@@ -6,13 +6,16 @@ negatives, 0 and huge integers (argparse itself rejects "nan" for them, with
 exit 2 and a usage line); float flags also draw NaN, ±inf and 1e308. Counts
 that set a run's length (`--iters`, the GA sizes and `--steps`) draw only
 small or invalid values, since a huge valid count is a long run, not bad
-input. Choice flags draw only their choices, which argparse enforces.
+input; so do `augment`'s `--out-size` and `--radius`, whose huge valid
+values allocate huge images. Choice flags draw only their choices, which
+argparse enforces.
 """
 
 import io
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ OPTIMIZE_ANCHORS_FLAGS = {
     "--threshold": _flag(["0.213", "0.5"], BAD_FLOATS),
     "--evolve-generations": _flag([1, 2], [-5, 0]),
     "--evolve-population": _flag([1, 3], [-5, 0]),
+    "--seed": _flag([0, 3], [-1]),
 }
 
 
@@ -55,6 +59,16 @@ SCHEDULE_FLAGS = {
     "--lr0": _flag(["0.01", "2"], BAD_FLOATS),
     "--milestones": _flag(["1,2", "2", ""], ["2,1", "-1", "1.5", "x", str(10**400)]),
     "--factor": _flag(["0.1", "0.5"], BAD_FLOATS),
+}
+
+SMALL_SIDES = [-5, -1, 0, 1, 2, 8]
+AUGMENT_FLAGS = {
+    "--op": st.sampled_from(["mosaic", "mixup", "cutmix", "photometric", "blur"]),
+    "--seed": _flag([0, 3], [-1]),
+    "--out-size": st.none() | st.sampled_from(SMALL_SIDES),
+    "--radius": st.none() | st.sampled_from(SMALL_SIDES),
+    **{flag: _flag(["0.1", "1"], BAD_FLOATS)
+       for flag in ("--brightness", "--contrast", "--hue", "--saturation", "--noise-sigma")},
 }
 
 
@@ -85,6 +99,17 @@ def eval_files(tmp_path_factory):
             str(write_dataset(root, truths, categories=(1, 2))))
 
 
+@pytest.fixture(scope="module")
+def augment_files(tmp_path_factory):
+    """(annotations, images dir, output dir): four 12x10 PPMs with two
+    labels each."""
+    root = tmp_path_factory.mktemp("augment")
+    boxes = [[[1, 1, 6, 5], [4, 3, 7, 6]]] * 4
+    ann = write_dataset(root, boxes, image_size=(12, 10), with_images=True,
+                        categories=(1, 2), rng=np.random.default_rng(263))
+    return str(ann), str(root), str(root / "out")
+
+
 def run_main(argv):
     """(exit code, stdout, stderr); a warning raises instead of printing."""
     out, err = io.StringIO(), io.StringIO()
@@ -112,6 +137,7 @@ def check_exit(code, out, err):
 @example(flags={"--resolution": 10**400}, evolve=False, json=False)
 @example(flags={"--resolution": 10**300}, evolve=False, json=True)
 @example(flags={"--resolution": 10**300}, evolve=True, json=False)
+@example(flags={"--seed": -1}, evolve=False, json=False)
 def test_optimize_anchors_flags(annotations, flags, evolve, json):
     argv = ["optimize-anchors", annotations]
     argv += [f"{name}={value}" for name, value in flags.items() if value is not None]
@@ -130,7 +156,24 @@ def test_eval_flags(eval_files, flags, json):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@given(flags=st.fixed_dictionaries(AUGMENT_FLAGS))
+@example(flags={"--op": "blur", "--radius": -1})
+@example(flags={"--op": "mosaic", "--out-size": 8, "--seed": -1})
+def test_augment_flags(augment_files, flags):
+    annotations, images_dir, out_dir = augment_files
+    argv = ["augment", annotations, images_dir, f"--out-dir={out_dir}"]
+    argv += [f"{name}={value}" for name, value in flags.items() if value is not None]
+    code, out, err = run_main(argv)
+    # the output path is the caller's, so only the rest of the line is checked
+    check_exit(code, out.replace(out_dir, ""), err)
+    if code == 0:
+        written = (Path(out_dir) / "annotations.json").read_text()
+        assert not re.search(r"NaN|Infinity", written), written
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(flags=st.fixed_dictionaries(SCHEDULE_FLAGS))
+@example(flags={"--kind": "step", "--milestones": "x", "--steps": 2})
 def test_schedule_flags(flags):
     argv = ["schedule"]
     argv += [f"{name}={value}" for name, value in flags.items() if value is not None]

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detbag.evalap import (_BUCKETS, IOU_THRESHOLDS, EvalResult, _bucket_masks,
-                           _curve_ap, _match, evaluate, parse_coco_detections)
+from detbag.evalap import (_BUCKETS, IOU_THRESHOLDS, RECALL_GRID, EvalResult,
+                           _bucket_masks, _curve_ap, _match, evaluate,
+                           parse_coco_detections)
 from detbag.geometry import Box, box_iou, corners
 from detbag.nms import Detection
 
@@ -100,6 +101,27 @@ def reference_evaluate(dets, truths):
     }
 
 
+def interpolated_ap(recalls, precisions):
+    """Mean over the 101-point recall grid of the max precision achieved at
+    recall >= r, on a non-empty curve."""
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    idx = np.searchsorted(recalls, RECALL_GRID, side="left")
+    grid_prec = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)
+    return float(grid_prec.mean())
+
+
+def two_step_curve_ap(tp, counted, n_pos):
+    """The curve AP before the sentinel envelope: cumulative false positives
+    counted apart, the empty curve and the clamp past the curve's end
+    handled on their own. Kept as the bit-exact oracle for `_curve_ap`."""
+    hits = tp[counted]
+    if not hits.size:
+        return 0.0
+    cum_tp = np.cumsum(hits)
+    cum_fp = np.cumsum(~hits)
+    return interpolated_ap(cum_tp / n_pos, cum_tp / (cum_tp + cum_fp))
+
+
 def per_group_evaluate(dets, truths):
     """`evaluate` as it was before ranking detections once: a dict of lists
     per (class, image) group, each group matched on its own and each class
@@ -155,7 +177,7 @@ def per_group_evaluate(dets, truths):
                 continue
             for t, thr in enumerate(IOU_THRESHOLDS):
                 per_class[bucket][thr].append(
-                    _curve_ap(tp[b, t], counted[b, t], int(n_pos[b])))
+                    two_step_curve_ap(tp[b, t], counted[b, t], int(n_pos[b])))
 
     def bucket_mean(bucket, thresholds=IOU_THRESHOLDS):
         vals = [v for t in thresholds for v in per_class[bucket][t]]
@@ -363,6 +385,32 @@ class TestPerGroupOracle:
     @pytest.mark.parametrize("dets,truths", ORACLE_SETS.values(), ids=ORACLE_SETS.keys())
     def test_equals_per_group_evaluate(self, dets, truths):
         assert evaluate(dets, truths).as_dict() == per_group_evaluate(dets, truths).as_dict()
+
+
+def _curves():
+    rng = np.random.default_rng(83)
+    random = {f"random-{i}": (rng.random(n) < 0.4, rng.random(n) < 0.8,
+                              int(rng.integers(1, n + 2)))
+              for i, n in enumerate(rng.integers(1, 300, 40))}
+    ones, zeros = np.ones(5, dtype=bool), np.zeros(5, dtype=bool)
+    return {
+        **random,
+        "empty": (zeros[:0], zeros[:0], 3),
+        "all-hits": (ones, ones, 5),
+        "all-hits-fewer-than-truths": (ones, ones, 7),
+        "no-hits": (zeros, ones, 4),
+        "single-hit": (ones[:1], ones[:1], 1),
+        "single-miss": (zeros[:1], ones[:1], 2),
+        "none-counted": (ones, zeros, 5),
+    }
+
+
+CURVES = _curves()
+
+
+@pytest.mark.parametrize("tp,counted,n_pos", CURVES.values(), ids=CURVES.keys())
+def test_curve_ap_equals_two_step_curve_ap(tp, counted, n_pos):
+    assert _curve_ap(tp, counted, n_pos) == two_step_curve_ap(tp, counted, n_pos)
 
 
 class TestInvariants:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from detbag import evolve as evolve_module
-from detbag.decode import MAX_SHAPE_AREA, Anchor, shape_iou
-from detbag.geometry import Box, box_iou, iou
+from detbag.decode import Anchor, shape_iou
+from detbag.geometry import MAX_SHAPE_AREA, Box, box_iou, iou
 from detbag.evolve import (GAConfig, HyperEntry, HyperVector, KMeansResult,
                            anchor_recall, evolve, evolve_anchors, kmeans_anchors)
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detbag.geometry import (Box, CenterBox, box_diou, box_iou, ciou, corners,
-                             diou, giou, iou)
+from detbag.geometry import (MAX_SHAPE_AREA, Box, CenterBox, box_diou, box_iou, ciou,
+                             corners, diou, giou, iou)
 
 METRICS = (iou, giou, diou, ciou)
 # (kernel, scalar reference, allowed gap): each kernel equals its scalar exactly
@@ -93,7 +93,26 @@ class TestConvert:
             Box(*coords)
 
     def test_large_finite_area_accepted(self):
-        assert Box(0.0, 0.0, 1e154, 1e154).area == 1e154 * 1e154
+        side = 2.0**511  # side * (MAX_SHAPE_AREA / side) is MAX_SHAPE_AREA exactly
+        assert Box(0.0, 0.0, side, MAX_SHAPE_AREA / side).area == MAX_SHAPE_AREA
+        assert CenterBox(0.0, 0.0, side, MAX_SHAPE_AREA / side).area == MAX_SHAPE_AREA
+
+    # areas above MAX_SHAPE_AREA, finite or not; with the first two, the
+    # union of two boxes overflows although each area is finite
+    @pytest.mark.parametrize("w,h", [(1e154, 1e154), (2.0**511, MAX_SHAPE_AREA / 2.0**510),
+                                     (1e200, 1e200)])
+    def test_area_above_bound_rejected(self, w, h):
+        with pytest.raises(ValueError, match="non-finite box or area"):
+            Box(0.0, 0.0, w, h)
+        with pytest.raises(ValueError, match="non-finite box or area"):
+            CenterBox(0.0, 0.0, w, h)
+
+    def test_largest_box_scores_one_against_itself(self):
+        side = 2.0**511
+        for big in (Box(0.0, 0.0, side, MAX_SHAPE_AREA / side),
+                    Box(-side, 0.0, 0.0, MAX_SHAPE_AREA / side)):
+            assert [metric(big, big) for metric in METRICS] == [1.0] * len(METRICS)
+            assert box_iou(corners([big]), corners([big])).tolist() == [1.0]
 
 
 class TestIou:

@@ -253,6 +253,11 @@ class TestBoxLoss:
         with pytest.raises(ValueError):
             box_loss(CenterBox(float("nan"), 0, 1, 1), CenterBox(0, 0, 1, 1), "mse")
 
+    def test_overflowing_area_rejected(self):
+        # such a box was once accepted, and every variant's value and gradient were NaN
+        with pytest.raises(ValueError, match="non-finite box or area"):
+            box_loss(CenterBox(0, 0, 1e200, 1e200), CenterBox(0, 0, 1e200, 1e200), "ciou")
+
     def test_zero_size_pred_rejected_for_iou_family(self):
         with pytest.raises(ValueError):
             box_loss(CenterBox(0, 0, 0, 1), CenterBox(0, 0, 1, 1), "iou")
