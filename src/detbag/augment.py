@@ -216,6 +216,11 @@ def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+# pixels in one row block of `photometric`, so that a block's temporaries
+# stay in cache at any image width
+_BLOCK_PIXELS = 8192
+
+
 def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
                 hue: float = 0.0, saturation: float = 1.0,
                 noise_sigma: float = 0.0,
@@ -228,6 +233,11 @@ def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
     identity value is skipped, so all-identity parameters return the image
     bit-exact. Raises ValueError, before any pixel work, naming a parameter
     that is not finite, a negative noise_sigma, or noise without an rng.
+
+    The stages run in place on one output array, a block of rows at a time
+    (brightness in a pass of its own, as contrast needs the mean of its
+    result). Each stage is elementwise and the noise is drawn in C order,
+    so the bytes and the rng stream are those of whole-image stages.
     """
     for name, value in (("brightness", brightness), ("contrast", contrast),
                         ("hue", hue), ("saturation", saturation),
@@ -239,21 +249,41 @@ def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
     if noise_sigma != 0.0 and rng is None:
         raise ValueError("noise_sigma > 0 needs an rng")
     img = s.image
+    jitter_hsv = hue != 0.0 or saturation != 1.0
+    if brightness == 0.0 and contrast == 1.0 and not jitter_hsv and noise_sigma == 0.0:
+        return Sample(img, list(s.labels), list(s.weights))
+    # in the input's memory order, so that contrast's mean sums as it would
+    # over a whole-image result
+    out = np.empty_like(img)
+    rows = max(1, _BLOCK_PIXELS // img.shape[1])
+    blocks = [slice(r, r + rows) for r in range(0, img.shape[0], rows)]
     if brightness != 0.0:
-        img = np.clip(img + brightness, 0.0, 1.0)
+        for b in blocks:
+            np.clip(np.add(img[b], brightness, out=out[b]), 0.0, 1.0, out=out[b])
+        img = out
     if contrast != 1.0:
         mean = img.mean()
-        img = np.clip(mean + contrast * (img - mean), 0.0, 1.0)
-    if hue != 0.0 or saturation != 1.0:
-        h, sat, v = _rgb_to_hsv(*np.clip(img.transpose(2, 0, 1), 0.0, 1.0,
-                                         out=np.empty((3,) + img.shape[:2])))
-        h = h / 6.0 + hue
-        h -= np.floor(h)  # == h % 1.0, but 1.0 may stay: it is sector 6
-        img = _hsv_to_rgb(h, np.clip(sat * saturation, 0.0, 1.0), v)
-        np.clip(img, 0.0, 1.0, out=img)
-    if noise_sigma != 0.0:
-        img = np.clip(img + rng.normal(0.0, noise_sigma, img.shape), 0.0, 1.0)
-    return Sample(img, list(s.labels), list(s.weights))
+    for b in blocks:
+        blk = out[b]
+        if img is not out:
+            np.copyto(blk, img[b])
+        if contrast != 1.0:
+            # == mean + contrast * (blk - mean): + and * commute exactly
+            blk -= mean
+            blk *= contrast
+            blk += mean
+            np.clip(blk, 0.0, 1.0, out=blk)
+        if jitter_hsv:
+            h, sat, v = _rgb_to_hsv(*np.clip(blk.transpose(2, 0, 1), 0.0, 1.0,
+                                             out=np.empty((3,) + blk.shape[:2])))
+            h = h / 6.0 + hue
+            h -= np.floor(h)  # == h % 1.0, but 1.0 may stay: it is sector 6
+            np.clip(_hsv_to_rgb(h, np.clip(sat * saturation, 0.0, 1.0), v), 0.0, 1.0,
+                    out=blk)
+        if noise_sigma != 0.0:
+            blk += rng.normal(0.0, noise_sigma, blk.shape)
+            np.clip(blk, 0.0, 1.0, out=blk)
+    return Sample(out, list(s.labels), list(s.weights))
 
 
 def geometric(s: Sample, op: str, k: float | None = None,

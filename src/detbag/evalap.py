@@ -66,6 +66,9 @@ def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detectio
             x, y = float(x), float(y)
             det = Detection(Box(x, y, x + float(w), y + float(h)), float(score), cid)
             out.setdefault(img, []).append(det)
+        except OverflowError:  # float() of an integer past the float range
+            raise ValueError(f"bad detection record #{i}: non-finite bbox entry "
+                             f"or score: {rec}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad detection record #{i}: {exc}") from exc
     return out

@@ -142,6 +142,10 @@ def _diou(a: Box, b: Box, i: float) -> float:
     bx = (b.x_min + b.x_max) / 2.0
     by = (b.y_min + b.y_max) / 2.0
     dx, dy = ax - bx, ay - by
+    if c2 == math.inf:  # far apart: the same power of two scales every side down
+        scale = math.ldexp(1.0, -math.frexp(max(ew, eh))[1])
+        ew, eh, dx, dy = ew * scale, eh * scale, dx * scale, dy * scale
+        c2 = ew * ew + eh * eh
     rho2 = dx * dx + dy * dy
     return i - rho2 / c2
 
@@ -195,9 +199,15 @@ def box_diou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Array `diou` of corner arrays (..., 4), broadcast like `box_iou`."""
     ew = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
     eh = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
-    c2 = ew * ew + eh * eh
     dx = (a[..., 0] + a[..., 2]) / 2.0 - (b[..., 0] + b[..., 2]) / 2.0
     dy = (a[..., 1] + a[..., 3]) / 2.0 - (b[..., 1] + b[..., 3]) / 2.0
+    with np.errstate(over="ignore"):
+        c2 = ew * ew + eh * eh
+    far = c2 == np.inf
+    if far.any():  # as in `_diou`; a scale of 1 leaves the other pairs ==
+        scale = np.where(far, np.ldexp(1.0, -np.frexp(np.maximum(ew, eh))[1]), 1.0)
+        ew, eh, dx, dy = ew * scale, eh * scale, dx * scale, dy * scale
+        c2 = ew * ew + eh * eh
     rho2 = dx * dx + dy * dy
     penalty = np.zeros(c2.shape)
     np.divide(rho2, c2, out=penalty, where=c2 > 0.0)

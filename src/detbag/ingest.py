@@ -8,6 +8,7 @@ with any standard tool (e.g. ImageMagick's `convert img.jpg img.ppm`).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -124,9 +125,10 @@ def load_annotations(path) -> DatasetIndex:
     """Parse a COCO-subset annotation file and verify referential integrity.
 
     Raises ValueError naming the offending record on malformed structure,
-    duplicate, fractional or dangling ids, negative sizes, a bbox that is
-    NaN or infinite (Python's `json` reads NaN and Infinity), or a label
-    weight outside (0, 1].
+    duplicate, fractional or dangling ids, image sizes that are not positive
+    or lie past the float range, a bbox that is NaN or infinite (Python's
+    `json` reads NaN and Infinity) or holds an integer past the float range,
+    or a label weight outside (0, 1].
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -154,8 +156,9 @@ def parse_annotations(data: dict) -> DatasetIndex:
                        int_field(rec, "width", "image"),
                        int_field(rec, "height", "image"))
         _check_unique(image_ids, im.id, "image", rec)
-        if im.width <= 0 or im.height <= 0:
-            raise ValueError(f"image {im.id} has non-positive size "
+        # a JSON integer can lie past the float range that sizes are scaled in
+        if not (0 < im.width <= sys.float_info.max and 0 < im.height <= sys.float_info.max):
+            raise ValueError(f"image {im.id} has non-positive or non-finite size "
                              f"{im.width}x{im.height}")
         images.append(im)
     categories, category_ids = [], set()
@@ -178,8 +181,11 @@ def parse_annotations(data: dict) -> DatasetIndex:
             weight = rec["weight"]
             if not all_numbers(weight) or not 0.0 < weight <= 1.0:
                 raise ValueError(f"annotation {ann_id} weight outside (0, 1]: {weight!r}")
-        ann = AnnotationRec(ann_id, int_field(rec, "image_id", "annotation"),
-                            tuple(float(v) for v in bbox),
+        try:
+            xywh = tuple(float(v) for v in bbox)
+        except OverflowError:  # an integer past the float range
+            raise ValueError(f"annotation {ann_id} has a non-finite bbox: {bbox}") from None
+        ann = AnnotationRec(ann_id, int_field(rec, "image_id", "annotation"), xywh,
                             int_field(rec, "category_id", "annotation"),
                             float(weight))
         if ann.image_id not in image_ids:

@@ -2,6 +2,7 @@ import colorsys
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,27 @@ def identity_or(value, drawn):
     return st.one_of(st.just(value), drawn)
 
 
+def block_edge_image(h, w, seed):
+    """Values inside and outside [0, 1]; the last row block of `photometric`
+    also holds PIXEL_POOL values (signed zeros among them) and gray pixels."""
+    rng = np.random.default_rng(seed)
+    img = rng.uniform(-0.5, 1.5, (h, w, 3))
+    block = max(1, augment._BLOCK_PIXELS // w)
+    tail = img[(h - 1) // block * block:]
+    pooled = rng.random(tail.shape) < 0.5
+    tail[pooled] = rng.choice(PIXEL_POOL, int(pooled.sum()))
+    gray = rng.random(tail.shape[:2]) < 0.2
+    tail[gray] = tail[gray][:, :1]
+    return img
+
+
+# each stage alone, then all of them with noise
+STAGES = [dict(brightness=0.07), dict(contrast=1.4), dict(hue=0.3), dict(saturation=1.7),
+          dict(noise_sigma=0.05),
+          dict(brightness=-0.05, contrast=0.8, hue=-0.04, saturation=1.3, noise_sigma=0.02)]
+STAGE_IDS = ["brightness", "contrast", "hue", "saturation", "noise", "all"]
+
+
 class TestPhotometricPlanes:
     @settings(deadline=None, max_examples=400, derandomize=True)
     @given(jitter_images(),
@@ -328,6 +350,44 @@ class TestPhotometricPlanes:
             out = photometric(Sample(img), hue=hue, saturation=saturation)
             want = hwc_photometric(Sample(img), hue=hue, saturation=saturation)
             assert out.image.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kwargs", STAGES, ids=STAGE_IDS)
+    @pytest.mark.parametrize("width", [1, 7, 416])
+    def test_bytes_and_rng_stream_across_row_blocks(self, width, kwargs):
+        block = max(1, augment._BLOCK_PIXELS // width)
+        for height in sorted({1, block - 1, block, block + 1, 2 * block + 1, 417} - {0}):
+            img = block_edge_image(height, width, seed=height * width)
+            self.assert_matches_reference(img, kwargs, seed=height)
+
+    @pytest.mark.parametrize("kwargs", [dict(contrast=1.4), STAGES[-1]],
+                             ids=["contrast", "all"])
+    def test_non_contiguous_image_bytes(self, kwargs):
+        # the contrast mean sums in the input's memory order, as before
+        img = block_edge_image(417, 416, seed=229)
+        for view in (img[:, ::-1], img[::-2], np.asfortranarray(img)):
+            self.assert_matches_reference(view, kwargs, seed=233)
+
+    @staticmethod
+    def assert_matches_reference(img, kwargs, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = photometric(Sample(img), rng=rng, **kwargs)
+        want = hwc_photometric(Sample(img), rng=ref_rng, **kwargs)
+        assert out.image.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kwargs", [
+        STAGES[-1], dict(hue=0.03, saturation=1.2), dict(noise_sigma=0.02),
+        dict(brightness=0.05, contrast=1.2)], ids=["all", "hsv", "noise", "brightness-contrast"])
+    def test_peak_allocation_within_half_an_image_of_the_output(self, kwargs):
+        img = np.random.default_rng(239).random((416, 416, 3))
+        s, rng = Sample(img), np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            photometric(s, rng=rng, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * img.nbytes
 
     @pytest.mark.parametrize("kwargs,message", [
         (dict(noise_sigma=-1.0, rng=np.random.default_rng(0)),

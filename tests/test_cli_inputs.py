@@ -8,10 +8,11 @@ that set a run's length (`--iters`, the GA sizes and `--steps`) draw only
 small or invalid values, since a huge valid count is a long run, not bad
 input; so do `augment`'s `--out-size` and `--radius`, whose huge valid
 values allocate huge images. Choice flags draw only their choices, which
-argparse enforces.
+argparse enforces. Fixed cases of bad numbers in the input files follow.
 """
 
 import io
+import json
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -178,3 +179,37 @@ def test_schedule_flags(flags):
     argv = ["schedule"]
     argv += [f"{name}={value}" for name, value in flags.items() if value is not None]
     check_exit(*run_main(argv))
+
+
+# (file, field, subcommand, message): a JSON integer past the float range in
+# each of these fields printed an OverflowError traceback
+HUGE_INT_FIELDS = [
+    *[("annotations", ("annotations", 0, "bbox", k), command,
+       "annotation 1 has a non-finite bbox")
+      for k in range(4) for command in ("eval", "optimize-anchors")],
+    *[("annotations", ("images", 0, side), "optimize-anchors",
+       "image 1 has non-positive or non-finite size") for side in ("width", "height")],
+    *[("detections", (0, "bbox", k), "eval", "bad detection record #0: non-finite")
+      for k in range(4)],
+    ("detections", (0, "score"), "eval", "bad detection record #0: non-finite"),
+]
+
+
+@pytest.mark.parametrize("where,field,command,message", HUGE_INT_FIELDS,
+                         ids=[f"{c}-{w}-{'.'.join(map(str, f))}" for w, f, c, _ in HUGE_INT_FIELDS])
+def test_integer_past_the_float_range_in_a_file(tmp_path, where, field, command, message):
+    ann_path = write_dataset(tmp_path, [[[2, 3, 20, 10]]], image_size=(64, 48))
+    files = {"annotations": json.loads(ann_path.read_text()),
+             "detections": [{"image_id": 1, "category_id": 1, "bbox": [2, 3, 20, 10],
+                             "score": 0.9}]}
+    record = files[where]
+    for key in field[:-1]:
+        record = record[key]
+    record[field[-1]] = 10**400
+    ann_path.write_text(json.dumps(files["annotations"]))
+    dets_path = write_detections(tmp_path, files["detections"])
+    argv = (["eval", str(dets_path), str(ann_path)] if command == "eval"
+            else ["optimize-anchors", str(ann_path), "--k", "1"])
+    code, out, err = run_main(argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"error: {re.escape(message)}[^\n]*\n", err), err

@@ -22,6 +22,9 @@ EDGE_PAIRS = (
     (Box(1, 1, 1, 1), Box(1, 1, 1, 1)),
 )
 
+# disjoint boxes 2e200 apart
+FAR_PAIR = (Box(-1e200, 0, -1e200 + 1e185, 1), Box(1e200, 0, 1e200 + 1e185, 1))
+
 
 def raster_iou(a: Box, b: Box, extent: int = 24) -> float:
     """Unit-cell counting oracle for integer-coordinate boxes."""
@@ -161,6 +164,25 @@ class TestDiou:
     def test_concentric_equals_iou(self):
         a, b = Box(-2, -1, 2, 1), Box(-4, -3, 4, 3)
         assert diou(a, b) == iou(a, b)
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+    def test_far_apart_pair_is_finite(self):
+        # every side is finite, but the squared enclosing diagonal is not
+        a, b = FAR_PAIR
+        want = -(2e200 / (2e200 + 1e185)) ** 2
+        for metric in (diou, ciou):  # same aspect ratio: no CIoU aspect term
+            assert metric(a, b) == pytest.approx(want, rel=1e-15)
+            assert metric(b, a) == metric(a, b)
+        assert box_diou(corners([a])[0], corners([b])[0]) == diou(a, b)
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_apart_kernel_equals_scalar(self):
+        # the near pairs of the same matrix keep their unscaled values
+        boxes = [*FAR_PAIR, Box(0, 0, 1, 1), Box(2, 2, 3, 3), Box(1e200, 0, 1e200 + 2e185, 3)]
+        arr = corners(boxes)
+        m = box_diou(arr[:, None], arr[None, :])
+        assert m.tolist() == [[diou(x, y) for y in boxes] for x in boxes]
+        assert np.isfinite(m).all()
 
 
 class TestCiou:
