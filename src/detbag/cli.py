@@ -89,10 +89,9 @@ def _format_metric(v) -> str:
 
 def cmd_eval(args) -> int:
     index = ingest.load_annotations(args.annotations)
-    with open(args.detections, "r", encoding="utf-8") as fh:
-        records = json.load(fh)
+    records = ingest.read_json(args.detections)
     if not isinstance(records, list):
-        raise ValueError("detections file must be a JSON array of results")
+        raise ValueError(f"{args.detections}: detections file must be a JSON array of results")
     dets = evalap.parse_coco_detections(records)
     if args.nms != "none":
         dets = _apply_nms(dets, args)
@@ -212,11 +211,11 @@ def cmd_schedule(args) -> int:
     rows = ["step,lr"]
     if args.kind == "cosine":
         for t in range(args.steps + 1):
-            rows.append(f"{t},{trainsched.cosine_lr(t, args.steps, args.lr_max, args.lr_min)!r}")
+            rows.append(f"{t},{trainsched.cosine_lr(t, args.steps, args.lr, args.lr_min)!r}")
     else:
         milestones = _milestones(args.milestones)
         for t in range(args.steps + 1):
-            rows.append(f"{t},{trainsched.step_decay_lr(t, milestones, args.lr0, args.factor)!r}")
+            rows.append(f"{t},{trainsched.step_decay_lr(t, milestones, args.lr, args.factor)!r}")
     text = "\n".join(rows) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -279,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="emit a learning-rate schedule CSV")
     p.add_argument("--kind", choices=("cosine", "step"), required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--lr-max", type=float, default=trainsched.DEFAULT_INITIAL_LR)
+    p.add_argument("--lr-max", "--lr0", dest="lr", type=float,
+                   default=trainsched.DEFAULT_INITIAL_LR, help="the rate at step 0")
     p.add_argument("--lr-min", type=float, default=0.0)
-    p.add_argument("--lr0", type=float, default=trainsched.DEFAULT_INITIAL_LR)
     p.add_argument("--milestones", type=str,
                    default=",".join(str(m) for m in trainsched.DEFAULT_MILESTONES))
     p.add_argument("--factor", type=float,

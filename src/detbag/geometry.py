@@ -186,8 +186,9 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Array `iou` of corner arrays (..., 4), broadcast against each other:
     (4,) x (m, 4) gives a row, (n, 1, 4) x (1, m, 4) an (n, m) matrix.
     Equals the scalar `iou` exactly, including 0 for an empty union."""
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    with np.errstate(over="ignore"):  # boxes far apart: -inf, clamped to 0 below
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = box_area(a) + box_area(b) - inter
     out = np.zeros(inter.shape)

@@ -8,8 +8,9 @@ with any standard tool (e.g. ImageMagick's `convert img.jpg img.ppm`).
 from __future__ import annotations
 
 import json
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -71,13 +72,9 @@ class DatasetIndex:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "images": [{"id": im.id, "file_name": im.file_name,
-                        "width": im.width, "height": im.height}
-                       for im in self.images],
-            "annotations": [a.to_dict() for a in self.annotations],
-            "categories": [{"id": c.id, "name": c.name} for c in self.categories],
-        }
+        return {"images": [asdict(im) for im in self.images],
+                "annotations": [a.to_dict() for a in self.annotations],
+                "categories": [asdict(c) for c in self.categories]}
 
 
 def _field(record: dict, key: str, what: str):
@@ -121,6 +118,16 @@ def _check_unique(ids: set[int], new_id: int, what: str, record: dict) -> None:
     ids.add(new_id)
 
 
+def read_json(path):
+    """The JSON value in a UTF-8 file. Raises ValueError naming the file when
+    it is not UTF-8, not JSON, or nested too deeply to parse."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+
+
 def load_annotations(path) -> DatasetIndex:
     """Parse a COCO-subset annotation file and verify referential integrity.
 
@@ -128,14 +135,9 @@ def load_annotations(path) -> DatasetIndex:
     duplicate, fractional or dangling ids, image sizes that are not positive
     or lie past the float range, a bbox that is NaN or infinite (Python's
     `json` reads NaN and Infinity) or holds an integer past the float range,
-    or a label weight outside (0, 1].
+    or a label weight outside (0, 1]; and naming the file as `read_json` does.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    return parse_annotations(data)
+    return parse_annotations(read_json(path))
 
 
 def parse_annotations(data: dict) -> DatasetIndex:
@@ -211,6 +213,10 @@ def save_annotations(index: DatasetIndex, path) -> None:
         json.dump(index.to_dict(), fh, indent=1)
 
 
+# whitespace (bytes `\s` is the six ASCII bytes) and `#` comments, then a token
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def load_image(path) -> np.ndarray:
     """Read a binary PPM (P6) into an (H, W, 3) float array in [0, 1]."""
     raw = Path(path).read_bytes()
@@ -218,20 +224,11 @@ def load_image(path) -> np.ndarray:
 
     def token() -> bytes:
         nonlocal pos
-        while pos < len(raw):
-            if raw[pos:pos + 1].isspace():
-                pos += 1
-            elif raw[pos:pos + 1] == b"#":
-                while pos < len(raw) and raw[pos] != 0x0A:
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PPM_TOKEN.match(raw, pos)
+        pos = match.end()
+        if not match[1]:
             raise ValueError(f"{path}: truncated PPM header")
-        return raw[start:pos]
+        return match[1]
 
     magic = token()
     if magic != b"P6":

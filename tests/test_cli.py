@@ -299,6 +299,21 @@ class TestEval:
         assert code == 1 and out == ""
         assert err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+    @pytest.mark.parametrize("nms", ["none", "greedy", "soft"])
+    def test_intersection_past_the_float_range_scores_cleanly(self, tmp_path, capsys, nms):
+        # the truth-to-detection and detection-to-detection intersection widths overflow
+        ann = write_dataset(tmp_path, [[[-1.7e308, 0, 1e307, 1]]])
+        dets = write_detections(tmp_path, [
+            {"image_id": 1, "category_id": 1, "bbox": bbox, "score": score}
+            for bbox, score in (([1.6e308, 0, 1e307, 1], 0.9),
+                                ([-1.7e308, 0, 1e307, 1], 0.8))])
+        code, out, err = run(capsys, "eval", str(dets), str(ann), "--nms", nms, "--json")
+        assert (code, err) == (0, "")
+        # the far detection is a false positive ranked above the true one
+        assert json.loads(out) == {"AP": 0.5, "AP50": 0.5, "AP75": 0.5, "AP_S": None,
+                                   "AP_M": None, "AP_L": 0.5}
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_annotation_fails_cleanly(self, tmp_path, capsys, token):
         ann = write_dataset(tmp_path, [[[0, 0, 10, 10], [0, 0, float(token), 10]]])
@@ -455,6 +470,13 @@ class TestSchedule:
         code, out, err = run(capsys, "schedule", "--kind", "step", f"--milestones={milestones}",
                              "--steps", "2")
         assert (code, out, err) == (1, "", f"error: --milestones {message}\n")
+
+    @pytest.mark.parametrize("kind", ["cosine", "step"])
+    def test_lr_max_and_lr0_spell_one_initial_rate(self, capsys, kind):
+        outs = [run(capsys, "schedule", "--kind", kind, "--steps", "4", "--milestones", "2",
+                    flag, "0.5") for flag in ("--lr-max", "--lr0")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert outs[0][1].splitlines()[1] == "0,0.5"
 
     def test_cosine_endpoints_and_row_count(self, capsys):
         code, out, _ = run(capsys, "schedule", "--kind", "cosine",

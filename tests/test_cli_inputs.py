@@ -213,3 +213,30 @@ def test_integer_past_the_float_range_in_a_file(tmp_path, where, field, command,
     code, out, err = run_main(argv)
     assert (code, out) == (1, "")
     assert re.fullmatch(rf"error: {re.escape(message)}[^\n]*\n", err), err
+
+
+# bytes that `json` cannot read: cut short, not UTF-8, nested past the
+# interpreter's recursion limit
+UNREADABLE_JSON = {"truncated": b'[{"id": 1', "not-utf-8": b"\xff\xfe[]",
+                   "too-deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("command,where", [
+    ("eval", "detections"), ("eval", "annotations"),
+    ("optimize-anchors", "annotations"), ("augment", "annotations")])
+def test_unreadable_json_file_named(tmp_path, command, where):
+    """Each bad file exits 1 with one `error:` line naming it; a detections
+    file that holds an object rather than an array is named too."""
+    ann = write_dataset(tmp_path, [[[2, 3, 20, 10]]])
+    dets = write_detections(tmp_path, [])
+    argv = {"eval": ["eval", str(dets), str(ann)],
+            "optimize-anchors": ["optimize-anchors", str(ann), "--k", "1"],
+            "augment": ["augment", str(ann), str(tmp_path), "--op", "blur",
+                        f"--out-dir={tmp_path / 'out'}"]}[command]
+    bad = dets if where == "detections" else ann
+    payloads = dict(UNREADABLE_JSON, **({"object": b"{}"} if where == "detections" else {}))
+    for name, payload in payloads.items():
+        bad.write_bytes(payload)
+        code, out, err = run_main(argv)
+        assert (code, out) == (1, ""), name
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}: [^\n]*\n", err), (name, err)

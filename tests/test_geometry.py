@@ -133,6 +133,13 @@ class TestIou:
     def test_empty_union_defined_zero(self):
         assert iou(Box(1, 1, 1, 1), Box(1, 1, 1, 1)) == 0.0
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+    def test_kernel_intersection_past_the_float_range(self):
+        # accepted boxes whose intersection width, min(x_max) - max(x_min), overflows
+        a, b = Box(-1.7e308, 0, -1.6e308, 1), Box(1.6e308, 0, 1.7e308, 1)
+        for x, y in ((a, b), (b, a)):
+            assert box_iou(corners([x])[0], corners([y])[0]) == iou(x, y) == 0.0
+
     def test_matches_rasterization(self):
         rng = np.random.default_rng(7)
         for _ in range(2000):

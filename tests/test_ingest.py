@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detbag.geometry import Box
 from detbag.ingest import (DatasetIndex, load_annotations, load_image,
@@ -231,3 +234,94 @@ class TestPpm:
     def test_save_validates_shape(self, tmp_path):
         with pytest.raises(ValueError):
             save_image(np.zeros((4, 4)), tmp_path / "x.ppm")
+
+
+def loop_load_image(path) -> np.ndarray:
+    """`load_image` with its header tokens scanned by byte loops, as it was
+    before they became one pattern; kept as the reference."""
+    raw = Path(path).read_bytes()
+    pos = 0
+
+    def token() -> bytes:
+        nonlocal pos
+        while pos < len(raw):
+            if raw[pos:pos + 1].isspace():
+                pos += 1
+            elif raw[pos:pos + 1] == b"#":
+                while pos < len(raw) and raw[pos] != 0x0A:
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(raw) and not raw[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated PPM header")
+        return raw[start:pos]
+
+    magic = token()
+    if magic != b"P6":
+        raise ValueError(f"{path}: not a binary PPM (magic {magic!r}, expected P6)")
+    try:
+        width, height, maxval = int(token()), int(token()), int(token())
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad PPM header: {exc}") from exc
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{path}: non-positive dimensions {width}x{height}")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"{path}: unsupported maxval {maxval} (need 8-bit)")
+    pos += 1  # single whitespace byte after maxval
+    payload = raw[pos:pos + width * height * 3]
+    if len(payload) != width * height * 3:
+        raise ValueError(f"{path}: truncated pixel payload "
+                         f"({len(payload)} of {width * height * 3} bytes)")
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    return pixels.astype(float) / maxval
+
+
+def read_outcome(load, path):
+    """(shape, bytes) of the image, or the text of the ValueError."""
+    try:
+        image = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return image.shape, image.tobytes()
+
+
+WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]  # bytes.isspace
+# the one odd separator of a drawn header may hold comments, a bare `#`, or
+# \x1c, \x85 and \xa0, which `str.isspace` accepts but a PPM token holds
+ODD_SEPARATOR = st.lists(st.sampled_from(
+    [*WHITESPACE, b"#", b"# note\n", b"#\x85 \n", b"\x1c", b"\x85", b"\xa0"]),
+    max_size=3).map(b"".join)
+# mostly valid tokens; an empty magic or a short list of sizes leaves a
+# token out at that position
+MAGIC = st.sampled_from([b"P6"] * 8 + [b"P5", b"P6#", b"p6", b""])
+SIZE = st.sampled_from([b"1", b"2", b"3"] * 6 + [
+    b"255", b"0", b"+2", b"-1", b"256", b"1#2", b"x", b"2\xa0", b"\x1c3", b"1_0"])
+# up to one byte more than a 3x3 image needs, its length drawn evenly
+PAYLOAD = st.integers(0, 28).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+
+
+@pytest.fixture(scope="module")
+def ppm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ppm") / "drawn.ppm"
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(magic=MAGIC, sizes=st.lists(SIZE, max_size=3),
+       separators=st.lists(st.sampled_from(WHITESPACE), min_size=5, max_size=5),
+       odd=st.integers(0, 4), odd_separator=ODD_SEPARATOR, payload=PAYLOAD)
+@example(magic=b"", sizes=[], separators=[b""] * 5, odd=0, odd_separator=b"",
+         payload=b"")  # an empty file
+@example(magic=b"P6", sizes=[b"1", b"1", b"255"], separators=[b"#c\n", b"\n", b"#1 2\n", b" ",
+         b"\n"], odd=0, odd_separator=b"#c\n", payload=b"abc")
+def test_pattern_tokens_equal_the_byte_loops(ppm_path, magic, sizes, separators, odd,
+                                             odd_separator, payload):
+    """Header tokens with the one odd separator at any position, then a
+    payload: `load_image` returns the same image or raises the same text."""
+    separators[odd] = odd_separator
+    tokens = [magic, *sizes]
+    raw = b"".join(sep + tok for sep, tok in zip(separators, tokens))
+    ppm_path.write_bytes(raw + separators[len(tokens)] + payload)
+    assert read_outcome(load_image, ppm_path) == read_outcome(loop_load_image, ppm_path)
