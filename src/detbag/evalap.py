@@ -27,6 +27,8 @@ MEDIUM_MAX_AREA = 96.0**2
 
 _BUCKETS = ("all", "small", "medium", "large")
 _THRESHOLDS = np.array(IOU_THRESHOLDS)
+_CELL_THRESHOLDS = np.tile(_THRESHOLDS, len(_BUCKETS))  # by (bucket, threshold)
+_KEY_BLOCK = 1 << 16  # key-table entries built at once by _match
 
 
 @dataclass(frozen=True)
@@ -93,27 +95,34 @@ def _match(ious: np.ndarray, truth_in: np.ndarray,
     threshold, the lower truth index on a tie; a truth inside the bucket
     beats an ignored one of any IoU. A match to an ignored truth is dropped
     from the curve, and so is an unmatched detection outside the bucket.
+
+    A (detection, truth, cell) key is the truth's rank in the detection's
+    preference order, plus m if the cell's bucket ignores it, or `none` under
+    the cell's threshold; the least key, once taken truths add `none`, wins.
     """
     n, m = ious.shape
-    # a truth's key is its rank in the detection's preference order, plus m
-    # when the bucket ignores it; `none` marks that no truth is available
-    rank = np.argsort(np.argsort(-ious, axis=1, kind="stable"), axis=1)
-    ignored = m * ~truth_in[:, None, :]
     none = 2 * m
-    grid = (len(_BUCKETS), len(_THRESHOLDS))
-    best = np.full((n, *grid), none)
-    free = np.ones((*grid, m), dtype=bool)
-    row_start = m * np.arange(np.prod(grid)).reshape(grid)  # into free.reshape(-1)
+    dtype = np.min_scalar_type(2 * none)  # a key plus `taken` fits
+    best = np.full((n, _CELL_THRESHOLDS.size), none, dtype)
+    # row m of `taken` is where unmatched cells write; keys add rows :m
+    taken = np.zeros((m + 1, _CELL_THRESHOLDS.size), dtype)
+    cells = np.arange(_CELL_THRESHOLDS.size)
+    ignored = (m * ~truth_in).astype(dtype).repeat(len(_THRESHOLDS), axis=0).T
     # a detection under the lowest threshold for every truth matches nothing
-    for d in np.flatnonzero(ious.max(axis=1, initial=0.0) >= _THRESHOLDS[0]):
-        available = (ious[d] >= _THRESHOLDS[:, None]) & free
-        cand = np.where(available, rank[d] + ignored, none)
-        best[d] = cand.min(axis=2)
-        # the picked truth is used from now on, wherever one was picked
-        free.reshape(-1)[row_start + cand.argmin(axis=2)] &= best[d] == none
-    best = best.transpose(1, 2, 0)
-    tp = best < m
-    return tp, tp | ((best == none) & det_in[:, None, :])
+    reach = np.flatnonzero(ious.max(axis=1, initial=0.0) >= _THRESHOLDS[0])
+    step = max(1, _KEY_BLOCK // (m * cells.size or 1))  # detections per key table
+    for lo in range(0, reach.size, step):
+        rows = reach[lo:lo + step]
+        order = np.argsort(-ious[rows], axis=1, kind="stable")
+        rank = np.argsort(order, axis=1).astype(dtype)[:, :, None]
+        keys = np.where(ious[rows][:, :, None] >= _CELL_THRESHOLDS, rank + ignored, none)
+        # the truth a sum picks: order[b % m] under `none`, else row m
+        pick = np.concatenate([order, order, np.full((rows.size, none + 1), m)], axis=1)
+        for d, key, to in zip(rows, keys, pick):
+            b = best[d] = (key + taken[:m]).min(axis=0)
+            taken[to[b], cells] = none
+    tp = (best < m).T.reshape(len(_BUCKETS), len(_THRESHOLDS), n)
+    return tp, tp | ((best >= none).T.reshape(tp.shape) & det_in[:, None, :])
 
 
 def _curve_ap(tp: np.ndarray, counted: np.ndarray, n_pos: int) -> float:

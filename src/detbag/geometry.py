@@ -137,17 +137,29 @@ def _diou(a: Box, b: Box, i: float) -> float:
     c2 = ew * ew + eh * eh
     if c2 <= 0.0:
         return i
-    ax = (a.x_min + a.x_max) / 2.0
-    ay = (a.y_min + a.y_max) / 2.0
-    bx = (b.x_min + b.x_max) / 2.0
-    by = (b.y_min + b.y_max) / 2.0
-    dx, dy = ax - bx, ay - by
-    if c2 == math.inf:  # far apart: the same power of two scales every side down
-        scale = math.ldexp(1.0, -math.frexp(max(ew, eh))[1])
-        ew, eh, dx, dy = ew * scale, eh * scale, dx * scale, dy * scale
-        c2 = ew * ew + eh * eh
+    dx, dy = _centre_offsets(a, b)
     rho2 = dx * dx + dy * dy
+    if c2 == math.inf or not math.isfinite(rho2):
+        # far apart or near the float range: halved boxes have finite sides
+        # and centres, exactly half for normal floats, and one power of two
+        # brings the longer side into [0.5, 1)
+        a, b = _halved(a), _halved(b)
+        ew, eh = _enclosing_sides(a, b)
+        dx, dy = _centre_offsets(a, b)
+        e = -math.frexp(max(ew, eh))[1]
+        ew, eh, dx, dy = (math.ldexp(v, e) for v in (ew, eh, dx, dy))
+        c2 = ew * ew + eh * eh
+        rho2 = dx * dx + dy * dy
     return i - rho2 / c2
+
+
+def _centre_offsets(a: Box, b: Box) -> tuple[float, float]:
+    return ((a.x_min + a.x_max) / 2.0 - (b.x_min + b.x_max) / 2.0,
+            (a.y_min + a.y_max) / 2.0 - (b.y_min + b.y_max) / 2.0)
+
+
+def _halved(box: Box) -> Box:
+    return Box(box.x_min / 2.0, box.y_min / 2.0, box.x_max / 2.0, box.y_max / 2.0)
 
 
 def ciou(a: Box, b: Box) -> float:
@@ -196,20 +208,28 @@ def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def box_diou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Array `diou` of corner arrays (..., 4), broadcast like `box_iou`."""
+def _offsets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Enclosing sides and centre offsets of corner arrays, as in `_diou`."""
     ew = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
     eh = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
     dx = (a[..., 0] + a[..., 2]) / 2.0 - (b[..., 0] + b[..., 2]) / 2.0
     dy = (a[..., 1] + a[..., 3]) / 2.0 - (b[..., 1] + b[..., 3]) / 2.0
-    with np.errstate(over="ignore"):
+    return ew, eh, dx, dy
+
+
+def box_diou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Array `diou` of corner arrays (..., 4), broadcast like `box_iou`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # far pairs: redone below
+        ew, eh, dx, dy = _offsets(a, b)
         c2 = ew * ew + eh * eh
-    far = c2 == np.inf
-    if far.any():  # as in `_diou`; a scale of 1 leaves the other pairs ==
-        scale = np.where(far, np.ldexp(1.0, -np.frexp(np.maximum(ew, eh))[1]), 1.0)
-        ew, eh, dx, dy = ew * scale, eh * scale, dx * scale, dy * scale
-        c2 = ew * ew + eh * eh
-    rho2 = dx * dx + dy * dy
+        rho2 = dx * dx + dy * dy
+    far = (c2 == np.inf) | ~np.isfinite(rho2)
+    if far.any():  # as in `_diou`, over every pair; only the far ones are read
+        ew, eh, dx, dy = _offsets(a / 2.0, b / 2.0)
+        e = -np.frexp(np.maximum(ew, eh))[1]
+        ew, eh, dx, dy = (np.ldexp(v, e) for v in (ew, eh, dx, dy))
+        c2 = np.where(far, ew * ew + eh * eh, c2)
+        rho2 = np.where(far, dx * dx + dy * dy, rho2)
     penalty = np.zeros(c2.shape)
     np.divide(rho2, c2, out=penalty, where=c2 > 0.0)
     return box_iou(a, b) - penalty

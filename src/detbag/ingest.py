@@ -233,8 +233,15 @@ def load_image(path) -> np.ndarray:
     magic = token()
     if magic != b"P6":
         raise ValueError(f"{path}: not a binary PPM (magic {magic!r}, expected P6)")
+
+    def size() -> int:
+        digits = token()
+        if not digits.isdigit():  # ASCII decimal: no sign, `_` or other digits
+            raise ValueError(f"not an ASCII decimal: {digits!r}")
+        return int(digits)
+
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        width, height, maxval = size(), size(), size()
     except ValueError as exc:
         raise ValueError(f"{path}: bad PPM header: {exc}") from exc
     if width <= 0 or height <= 0:

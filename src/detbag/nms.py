@@ -40,62 +40,55 @@ def detection_arrays(dets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([d.class_id for d in dets]))
 
 
-def _suppress(dets: list[Detection], overlap, rule) -> list[tuple[float, int]]:
+def _suppress(dets: list[Detection], overlap, effect, decays: bool) -> list[tuple[float, int]]:
     """The pick loop shared by every variant, as (final score, input index)
     pairs sorted by descending score, then input index.
 
-    Each class's live set stays in input order, so argmax breaks a score tie
-    toward the lower input index. After each pick, `rule(overlap, scores)`
-    returns the live-set mask and the (possibly decayed) live scores.
-
-    Overlap rows are computed in blocks: when a pick has no row yet, one
-    broadcast `overlap` call gives the rows of the top-`_BLOCK` live boxes
-    by current score (ties to the lower position, as argmax picks them)
-    against the whole live set, and later picks in the block read their
-    row from it. Each element is the same kernel arithmetic on the same
-    pair as a per-pick row, so the values are `==` and only the number of
-    kernel calls depends on the block.
+    Each class's scores are held over its live set as it stood at the last
+    block, in input order, so argmax breaks a score tie toward the lower
+    input index; a dead box holds -1, or when the variant `decays`, any
+    score under `SCORE_FLOOR`. When a pick has no row yet, the live set is
+    compacted and one broadcast `overlap` call gives the rows of the
+    top-`_BLOCK` live boxes by score (ties to the lower position, as argmax
+    picks them) against it. `effect` turns the block into score factors
+    when the variant decays, else keep masks, and each pick applies its row
+    with one array op. Every element is the same arithmetic on the same
+    pair as a per-pick row, so the values are `==` whatever the block.
     """
     if not dets:
         return []
     boxes, scores, labels = detection_arrays(dets)
     out: list[tuple[float, int]] = []
     for cid in dict.fromkeys(labels.tolist()):
-        # live: the class's live set, as input indices, when the last block
-        # was computed; cols: each current live box's position in it, which
-        # is also its block column; row_of: a position's block row, or -1
         live = np.flatnonzero(labels == cid)
-        live_scores = scores[live]
-        cols = np.arange(live.size)
-        row_of = np.full(live.size, -1)
-        while cols.size > 1:
-            k = live_scores.argmax()
-            if row_of[cols[k]] < 0:
-                live, cols = live[cols], np.arange(cols.size)
-                top = cols
-                if cols.size > _BLOCK:  # ties at the cut go to lower positions
-                    cut = np.partition(live_scores, -_BLOCK)[-_BLOCK]
-                    top = np.concatenate([np.flatnonzero(live_scores > cut),
-                                          np.flatnonzero(live_scores == cut)])[:_BLOCK]
+        s = scores[live]
+        bar = 0.0  # every input score is live until the class's first pick
+        row_of = np.full(live.size, -1)  # a position's block row, or -1
+        k = s.argmax()
+        while s[k] >= bar:
+            if row_of[k] < 0:
+                alive = s >= bar
+                live, s = live[alive], s[alive]
+                if live.size == 1:  # a lone box is kept without an overlap row
+                    out.append((float(s[0]), int(live[0])))
+                    break
+                k = s.argmax()
+                top = np.arange(live.size)
+                if live.size > _BLOCK:  # ties at the cut go to lower positions
+                    cut = np.partition(s, -_BLOCK)[-_BLOCK]
+                    top = np.concatenate([np.flatnonzero(s > cut),
+                                          np.flatnonzero(s == cut)])[:_BLOCK]
                 live_boxes = boxes[live]
-                block = overlap(live_boxes[top][:, None], live_boxes[None, :])
-                row_of = np.full(cols.size, -1)
+                block = effect(overlap(live_boxes[top][:, None], live_boxes[None, :]))
+                row_of = np.full(live.size, -1)
                 row_of[top] = np.arange(top.size)
-            c = cols[k]
-            out.append((float(live_scores[k]), int(live[c])))
-            keep, live_scores = rule(block[row_of[c]][cols], live_scores)
-            keep[k] = False
-            cols, live_scores = cols[keep], live_scores[keep]
-        if cols.size:  # a lone box is kept without an overlap row
-            out.append((float(live_scores[0]), int(live[cols[0]])))
+            out.append((float(s[k]), int(live[k])))
+            s = s * block[row_of[k]] if decays else np.where(block[row_of[k]], s, -1.0)
+            s[k] = -1.0
+            bar = SCORE_FLOOR if decays else 0.0
+            k = s.argmax()
     out.sort(key=lambda si: (-si[0], si[1]))
     return out
-
-
-def _keep_below(threshold: float):
-    """The greedy rule: a box stays live while its overlap with the pick is
-    at most the threshold; scores are untouched."""
-    return lambda overlap, scores: (overlap <= threshold, scores)
 
 
 def greedy_nms(dets: list[Detection], iou_threshold: float = 0.5) -> list[Detection]:
@@ -106,7 +99,7 @@ def greedy_nms(dets: list[Detection], iou_threshold: float = 0.5) -> list[Detect
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold outside [0, 1]: {iou_threshold}")
-    kept = _suppress(dets, box_iou, _keep_below(iou_threshold))
+    kept = _suppress(dets, box_iou, lambda overlap: overlap <= iou_threshold, False)
     return [dets[i] for _, i in kept]
 
 
@@ -119,7 +112,7 @@ def diou_nms(dets: list[Detection], threshold: float = 0.45) -> list[Detection]:
     """
     if not -1.0 <= threshold <= 1.0:
         raise ValueError(f"threshold outside [-1, 1]: {threshold}")
-    kept = _suppress(dets, box_diou, _keep_below(threshold))
+    kept = _suppress(dets, box_diou, lambda overlap: overlap <= threshold, False)
     return [dets[i] for _, i in kept]
 
 
@@ -130,7 +123,8 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
     linear mode rescores s' = s * (1 - iou) only when iou exceeds the
     threshold; gaussian mode rescores s' = s * exp(-iou^2 / sigma) for every
     pair. Detections whose decayed score falls below `SCORE_FLOOR` are
-    dropped. Output carries the decayed scores, sorted descending.
+    dropped. Output carries the decayed scores, sorted descending; a
+    survivor whose score did not decay is returned as its input detection.
     """
     if mode not in ("linear", "gaussian"):
         raise ValueError(f"unknown soft-nms mode: {mode!r}")
@@ -141,13 +135,12 @@ def soft_nms(dets: list[Detection], iou_threshold: float = 0.5,
         raise ValueError(f"sigma must be finite and at least {sys.float_info.min}: {sigma}")
 
     if mode == "linear":
-        def decay(overlap, scores):
-            scores = scores * np.where(overlap > iou_threshold, 1.0 - overlap, 1.0)
-            return scores >= SCORE_FLOOR, scores
+        def factor(overlap):
+            return np.where(overlap > iou_threshold, 1.0 - overlap, 1.0)
     else:
-        def decay(overlap, scores):
-            scores = scores * np.exp(-(overlap * overlap) / sigma)
-            return scores >= SCORE_FLOOR, scores
+        def factor(overlap):
+            return np.exp(-(overlap * overlap) / sigma)
 
-    kept = _suppress(dets, box_iou, decay)
-    return [Detection(dets[i].box, s, dets[i].class_id) for s, i in kept]
+    kept = _suppress(dets, box_iou, factor, True)
+    return [dets[i] if s == dets[i].score else Detection(dets[i].box, s, dets[i].class_id)
+            for s, i in kept]

@@ -314,6 +314,20 @@ class TestEval:
         assert json.loads(out) == {"AP": 0.5, "AP50": 0.5, "AP75": 0.5, "AP_S": None,
                                    "AP_M": None, "AP_L": 0.5}
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+    def test_diou_near_the_float_range_scores_like_greedy(self, tmp_path, capsys):
+        # the detections' centres and enclosing width overflow; DIoU keeps both
+        ann = write_dataset(tmp_path, [[[-1.7e308, 0, 1e307, 1]]])
+        dets = write_detections(tmp_path, [
+            {"image_id": 1, "category_id": 1, "bbox": bbox, "score": score}
+            for bbox, score in (([1.6e308, 0, 1e307, 1], 0.9),
+                                ([-1.7e308, 0, 1e307, 1], 0.8))])
+        rows = [run(capsys, "eval", str(dets), str(ann), "--nms", nms, "--json")
+                for nms in ("diou", "greedy")]
+        assert rows[0] == rows[1]
+        code, out, err = rows[0]
+        assert (code, err) == (0, "") and json.loads(out)["AP"] == 0.5
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_annotation_fails_cleanly(self, tmp_path, capsys, token):
         ann = write_dataset(tmp_path, [[[0, 0, 10, 10], [0, 0, float(token), 10]]])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detbag.evalap import (_BUCKETS, IOU_THRESHOLDS, RECALL_GRID, EvalResult,
+from detbag.evalap import (_BUCKETS, _KEY_BLOCK, IOU_THRESHOLDS, RECALL_GRID, EvalResult,
                            _bucket_masks, _curve_ap, _match, evaluate,
                            parse_coco_detections)
 from detbag.geometry import Box, box_iou, corners
@@ -191,6 +191,62 @@ def per_group_evaluate(dets, truths):
         ap_medium=bucket_mean("medium"),
         ap_large=bucket_mean("large"),
     )
+
+
+def per_detection_match(ious, truth_in, det_in):
+    """`_match` as it was before the key table: one candidate array per
+    detection, reduced with `min` and `argmin`, and a boolean `free` array.
+    Kept as the bit-exact oracle for the key-table `_match`."""
+    thresholds = np.array(IOU_THRESHOLDS)
+    n, m = ious.shape
+    rank = np.argsort(np.argsort(-ious, axis=1, kind="stable"), axis=1)
+    ignored = m * ~truth_in[:, None, :]
+    none = 2 * m
+    grid = (len(_BUCKETS), len(thresholds))
+    best = np.full((n, *grid), none)
+    free = np.ones((*grid, m), dtype=bool)
+    row_start = m * np.arange(np.prod(grid)).reshape(grid)
+    for d in np.flatnonzero(ious.max(axis=1, initial=0.0) >= thresholds[0]):
+        available = (ious[d] >= thresholds[:, None]) & free
+        cand = np.where(available, rank[d] + ignored, none)
+        best[d] = cand.min(axis=2)
+        free.reshape(-1)[row_start + cand.argmin(axis=2)] &= best[d] == none
+    best = best.transpose(1, 2, 0)
+    tp = best < m
+    return tp, tp | ((best == none) & det_in[:, None, :])
+
+
+# IoUs at and next to the thresholds, so ties and exact threshold hits occur
+IOU_PALETTE = [0.0, 0.25, np.nextafter(0.5, 0.0), 0.5, 0.6, 0.75, 0.8, 0.9,
+               np.nextafter(0.95, 0.0), 0.95, np.nextafter(0.95, 1.0), 1.0]
+
+
+@st.composite
+def match_slices(draw):
+    """An (n, m) IoU matrix with duplicated detection rows and truth
+    columns, and bucket masks for the truths and detections."""
+    n, m = draw(st.integers(0, 10)), draw(st.integers(0, 6))
+    iou = st.one_of(st.sampled_from(IOU_PALETTE), st.floats(0.0, 1.0))
+    ious = np.array(draw(st.lists(st.lists(iou, min_size=m, max_size=m),
+                                  min_size=n, max_size=n)), dtype=float).reshape(n, m)
+    if n > 1 and draw(st.booleans()):  # a duplicate detection
+        ious[draw(st.integers(1, n - 1))] = ious[0]
+    if m > 1 and draw(st.booleans()):  # a duplicate truth
+        ious[:, draw(st.integers(1, m - 1))] = ious[:, 0]
+    if draw(st.booleans()):  # no detection reaches the lowest threshold
+        ious = np.minimum(ious, 0.45)
+    masks = st.lists(st.booleans(), min_size=4 * m, max_size=4 * m)
+    truth_in = np.array(draw(masks), dtype=bool).reshape(4, m)
+    det_in = np.array(draw(st.lists(st.booleans(), min_size=4 * n, max_size=4 * n)),
+                      dtype=bool).reshape(4, n)
+    return ious, truth_in, det_in
+
+
+def assert_match_equals_per_detection(ious, truth_in, det_in):
+    tp, counted = _match(ious, truth_in, det_in)
+    want_tp, want_counted = per_detection_match(ious, truth_in, det_in)
+    assert tp.shape == counted.shape == want_tp.shape
+    assert (tp == want_tp).all() and (counted == want_counted).all()
 
 
 def det(x, y, w, h, score, cid=1):
@@ -385,6 +441,35 @@ class TestPerGroupOracle:
     @pytest.mark.parametrize("dets,truths", ORACLE_SETS.values(), ids=ORACLE_SETS.keys())
     def test_equals_per_group_evaluate(self, dets, truths):
         assert evaluate(dets, truths).as_dict() == per_group_evaluate(dets, truths).as_dict()
+
+
+class TestKeyTableMatch:
+    """The key-table `_match` gives the flags of the per-detection loop."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(match_slices())
+    # the ignored truth has the higher IoU; both detections reach only it at 0.95
+    @example((np.array([[0.9, 0.95], [0.9, 0.95]]),
+              np.array([[1, 1], [1, 0], [1, 0], [0, 1]], dtype=bool),
+              np.ones((4, 2), dtype=bool)))
+    def test_equals_per_detection_match(self, case):
+        assert_match_equals_per_detection(*case)
+
+    @pytest.mark.parametrize("m", [1, 7, 70])
+    def test_key_table_built_in_blocks(self, m):
+        # more detections that reach a truth than one key table holds
+        n = 3 * _KEY_BLOCK // (m * len(_BUCKETS) * len(IOU_THRESHOLDS)) + 5
+        rng = np.random.default_rng(m)
+        ious = rng.choice(IOU_PALETTE, (n, m))
+        truth_in = rng.random((4, m)) < 0.7
+        det_in = rng.random((4, n)) < 0.7
+        assert_match_equals_per_detection(ious, truth_in, det_in)
+
+    @pytest.mark.parametrize("dets,truths", ORACLE_SETS.values(), ids=ORACLE_SETS.keys())
+    def test_evaluate_with_per_detection_match(self, monkeypatch, dets, truths):
+        want = evaluate(dets, truths)
+        monkeypatch.setattr("detbag.evalap._match", per_detection_match)
+        assert evaluate(dets, truths) == want
 
 
 def _curves():

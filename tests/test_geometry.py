@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,12 @@ EDGE_PAIRS = (
 
 # disjoint boxes 2e200 apart
 FAR_PAIR = (Box(-1e200, 0, -1e200 + 1e185, 1), Box(1e200, 0, 1e200 + 1e185, 1))
+# accepted boxes near the float range: the first pair's enclosing width and
+# centre offset overflow, the second box's centre sum does, and so do the
+# third pair's, whose squared enclosing diagonal is small
+RANGE_PAIRS = [(Box(1.6e308, 0, 1.7e308, 1), Box(-1.7e308, 0, -1.6e308, 1)),
+               (Box(1e308, 0, 1.5e308, 1), Box(1e308, 0, 1.5e308, 1)),
+               (Box(1.7e308, 0, 1.7e308, 1), Box(1.7e308, 0, 1.7e308, 2))]
 
 
 def raster_iou(a: Box, b: Box, extent: int = 24) -> float:
@@ -186,6 +194,27 @@ class TestDiou:
     def test_far_apart_kernel_equals_scalar(self):
         # the near pairs of the same matrix keep their unscaled values
         boxes = [*FAR_PAIR, Box(0, 0, 1, 1), Box(2, 2, 3, 3), Box(1e200, 0, 1e200 + 2e185, 3)]
+        arr = corners(boxes)
+        m = box_diou(arr[:, None], arr[None, :])
+        assert m.tolist() == [[diou(x, y) for y in boxes] for x in boxes]
+        assert np.isfinite(m).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_the_float_range_finite(self):
+        (a, b), (c, _), (e, f) = RANGE_PAIRS
+        # centres at +-1.65e308 in an enclosing width of 3.4e308
+        assert diou(a, b) == pytest.approx(-(3.3 / 3.4) ** 2, rel=1e-15)
+        assert diou(c, c) == ciou(c, c) == 1.0
+        # zero-width boxes: centres 0.5 apart in height, enclosing diagonal 2
+        assert diou(e, f) == -(0.5**2) / 2**2 == -1 / 16
+        for x, y in RANGE_PAIRS:
+            for p, q in ((x, y), (y, x)):
+                assert math.isfinite(ciou(p, q))
+                assert box_diou(corners([p])[0], corners([q])[0]) == diou(p, q)
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_the_float_range_kernel_equals_scalar(self):
+        boxes = [box for pair in RANGE_PAIRS for box in pair] + [*FAR_PAIR, Box(0, 0, 1, 1)]
         arr = corners(boxes)
         m = box_diou(arr[:, None], arr[None, :])
         assert m.tolist() == [[diou(x, y) for y in boxes] for x in boxes]

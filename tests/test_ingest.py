@@ -231,6 +231,18 @@ class TestPpm:
         with pytest.raises(ValueError, match="maxval"):
             load_image(path)
 
+    @pytest.mark.parametrize("header", [b"P6 +2 1 255\n", b"P6 1_0 1 255\n",
+                                        b"P6 1 1 +255\n", b"P6 1 -1 255\n",
+                                        b"P6 1 \xd9\xa1 255\n", b"P6 1 1 2.0\n"],
+                             ids=["sign", "underscore", "signed-maxval", "negative",
+                                  "arabic-indic-digit", "decimal-point"])
+    def test_sizes_must_be_ascii_decimal(self, tmp_path, header):
+        path = tmp_path / "signed.ppm"
+        path.write_bytes(header + bytes(60))
+        with pytest.raises(ValueError) as info:
+            load_image(path)
+        assert str(info.value).startswith(f"{path}: bad PPM header: not an ASCII decimal")
+
     def test_save_validates_shape(self, tmp_path):
         with pytest.raises(ValueError):
             save_image(np.zeros((4, 4)), tmp_path / "x.ppm")
@@ -238,7 +250,8 @@ class TestPpm:
 
 def loop_load_image(path) -> np.ndarray:
     """`load_image` with its header tokens scanned by byte loops, as it was
-    before they became one pattern; kept as the reference."""
+    before they became one pattern; kept as the reference. Its sizes take
+    the library's ASCII-decimal rule."""
     raw = Path(path).read_bytes()
     pos = 0
 
@@ -262,8 +275,14 @@ def loop_load_image(path) -> np.ndarray:
     magic = token()
     if magic != b"P6":
         raise ValueError(f"{path}: not a binary PPM (magic {magic!r}, expected P6)")
+    def size() -> int:
+        digits = token()
+        if not digits.isdigit():  # ASCII decimal: no sign, `_` or other digits
+            raise ValueError(f"not an ASCII decimal: {digits!r}")
+        return int(digits)
+
     try:
-        width, height, maxval = int(token()), int(token()), int(token())
+        width, height, maxval = size(), size(), size()
     except ValueError as exc:
         raise ValueError(f"{path}: bad PPM header: {exc}") from exc
     if width <= 0 or height <= 0:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detbag import nms
@@ -74,9 +74,10 @@ def _random_detections(n: int, classes: int, rng) -> list[Detection]:
     return dets
 
 
-def per_pick_rows(dets, overlap_row, rule):
-    """The pick loop with one overlap row per pick: the exactness oracle
-    for `nms._suppress`, whose rows come in blocks."""
+def per_pick_rows(dets, overlap_row, effect, decays):
+    """The pick loop with one overlap row per pick and the live set
+    compacted after every pick: the exactness oracle for `nms._suppress`,
+    whose rows come in blocks and whose live set is compacted per block."""
     if not dets:
         return []
     boxes = corners(d.box for d in dets)
@@ -89,7 +90,12 @@ def per_pick_rows(dets, overlap_row, rule):
         while live.size > 1:
             k = live_scores.argmax()
             out.append((float(live_scores[k]), int(live[k])))
-            keep, live_scores = rule(overlap_row(live_boxes[k], live_boxes), live_scores)
+            row = effect(overlap_row(live_boxes[k], live_boxes))
+            if decays:
+                live_scores = live_scores * row
+                keep = live_scores >= SCORE_FLOOR
+            else:
+                keep = row
             keep[k] = False
             live, live_boxes, live_scores = live[keep], live_boxes[keep], live_scores[keep]
         if live.size:  # a lone box is kept without an overlap row
@@ -294,6 +300,42 @@ class TestSoft:
         out = soft_nms([a, b], 0.5, mode="linear")
         assert out == [a]
 
+    @pytest.mark.parametrize("mode", ["linear", "gaussian"])
+    @pytest.mark.parametrize("dets,kept", [
+        # a lone box is kept at any score
+        ([Detection(Box(0, 0, 0, 0), 0.0, 0)], [0]),
+        ([Detection(Box(0, 0, 2, 2), 0.0, 0)], [0]),
+        # a class's first pick is made before any decay, even under the floor;
+        # the other class is untouched by it
+        ([Detection(Box(0, 0, 2, 2), 0.0005, 1), Detection(Box(5, 5, 7, 7), 0.9, 0)],
+         [1, 0]),
+        # after the first pick, a box under the floor is dropped undecayed
+        ([Detection(Box(0, 0, 2, 2), 0.0002, 0), Detection(Box(5, 5, 7, 7), 0.0005, 0)],
+         [1]),
+        ([Detection(Box(0, 0, 2, 2), 0.0005, 3), Detection(Box(0, 0, 2, 2), 0.0005, 3)],
+         [0]),
+    ], ids=["lone-zero-area-at-0", "lone-at-0", "best-under-floor-beside-class",
+            "two-under-floor-apart", "two-under-floor-tied"])
+    def test_sub_floor_classes(self, mode, dets, kept):
+        want = [dets[i] for i in kept]
+        assert soft_nms(dets, 0.45, mode=mode) == want
+        assert brute_force_soft(dets, 0.45, 0.5, mode) == want
+
+    @pytest.mark.parametrize("mode", ["linear", "gaussian"])
+    def test_undecayed_survivor_is_the_input_detection(self, mode):
+        dets = clustered_detections(89) + [Detection(Box(900, 900, 910, 910), 0.5, 0)]
+        out = soft_nms(dets, 0.45, mode=mode)
+        want = brute_force_soft(dets, 0.45, 0.5, mode)
+        assert [(d.box, d.class_id) for d in out] == [(d.box, d.class_id) for d in want]
+        if mode == "linear":  # the brute force builds every survivor anew
+            assert out == want
+        source = {(d.box, d.class_id): d for d in dets}
+        same = [source[(d.box, d.class_id)] is d for d in out]
+        assert same == [d.score == source[(d.box, d.class_id)].score for d in out]
+        # each class's first pick and the far box kept their scores; most decayed
+        assert out[0] is max(dets, key=lambda d: d.score) and dets[-1] in out
+        assert 3 <= sum(same) < len(out) / 2
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             soft_nms([], mode="quadratic")
@@ -392,6 +434,13 @@ class TestDiouNms:
         with pytest.raises(ValueError):
             diou_nms([], 1.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_apart_near_the_float_range_both_kept(self):
+        # centres and enclosing width past the float range: DIoU is about -0.94
+        a = Detection(Box(1.6e308, 0, 1.7e308, 1), 0.9, 1)
+        b = Detection(Box(-1.7e308, 0, -1.6e308, 1), 0.8, 1)
+        assert diou_nms([a, b], 0.45) == greedy_nms([a, b], 0.45) == [a, b]
+
 
 class TestClassIsolation:
     def test_permuting_class_ids_permutes_output(self):
@@ -469,13 +518,15 @@ class TestProperties:
         t = data.draw(st.sampled_from(thresholds))
         assert suppress(shuffled, t) == suppress(dets, t)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(dets=integer_detections(), t=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]))
+    @example(dets=[Detection(Box(0, 0, 0, 0), 0.0, 0)], t=0.0)
     def test_soft_linear_matches_brute_force(self, dets, t):
         assert soft_nms(dets, t, mode="linear") == brute_force_soft(dets, t, 0.5, "linear")
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(dets=integer_detections(), sigma=st.sampled_from([0.1, 0.5, 2.0]))
+    @example(dets=[Detection(Box(0, 0, 0, 0), 0.0, 0)], sigma=0.5)
     def test_soft_gaussian_matches_brute_force(self, dets, sigma):
         got = soft_nms(dets, 0.5, sigma=sigma, mode="gaussian")
         want = brute_force_soft(dets, 0.5, sigma, "gaussian")
