@@ -152,8 +152,6 @@ def cutmix(a: Sample, b: Sample, rng: np.random.Generator) -> Sample:
     (0, 1); side lengths are proportional to sqrt(1 - lambda) around a
     uniform center, clipped to the image.
     """
-    if a.image.shape != b.image.shape:
-        raise ValueError(f"dimension mismatch: {a.image.shape} vs {b.image.shape}")
     lam = rng.uniform(0.0, 1.0)
     ratio = np.sqrt(1.0 - lam)
     cut_w, cut_h = int(round(a.width * ratio)), int(round(a.height * ratio))

@@ -19,7 +19,7 @@ from detbag import augment as aug
 from detbag import evalap, ingest, nms, trainsched
 from detbag.decode import DEFAULT_ASSIGN_IOU_THRESHOLD
 from detbag.evolve import anchor_recall, evolve_anchors, kmeans_anchors
-from detbag.geometry import MAX_SHAPE_AREA
+from detbag.geometry import MAX_SHAPE_AREA, _shape_ok
 
 
 def cmd_optimize_anchors(args) -> int:
@@ -34,7 +34,7 @@ def cmd_optimize_anchors(args) -> int:
         w = ann.bbox[2] * args.resolution / im.width
         h = ann.bbox[3] * args.resolution / im.height
         if w > 0 and h > 0:
-            if not w * h <= MAX_SHAPE_AREA:
+            if not _shape_ok(w, h):
                 raise ValueError(f"--resolution {args.resolution} scales annotation {ann.id} "
                                  f"to a {w}x{h} box of area above {MAX_SHAPE_AREA}")
             shapes.append((w, h))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from detbag.geometry import MAX_SHAPE_AREA, CenterBox
+from detbag.geometry import MAX_SHAPE_AREA, CenterBox, _shape_ok
 
 DEFAULT_SENSITIVITY_SCALE = 1.1
 DEFAULT_ASSIGN_IOU_THRESHOLD = 0.213  # genetic-search value, library default
@@ -33,7 +33,7 @@ class Anchor:
     def __post_init__(self):
         if not (0 < self.w < math.inf and 0 < self.h < math.inf):  # False for NaN
             raise ValueError(f"anchor sides must be positive and finite: {self}")
-        if not float(self.w) * float(self.h) <= MAX_SHAPE_AREA:
+        if not _shape_ok(self.w, self.h):
             raise ValueError(f"anchor area must be at most {MAX_SHAPE_AREA}: {self}")
 
 

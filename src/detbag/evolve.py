@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from detbag.decode import Anchor
-from detbag.geometry import MAX_SHAPE_AREA
+from detbag.geometry import MAX_SHAPE_AREA, _shapes_ok
 
 logger = logging.getLogger(__name__)
 
@@ -138,20 +138,19 @@ def evolve(seed: HyperVector, fitness, cfg: GAConfig = GAConfig(),
 
 
 def _shape_columns(shapes, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous w and h columns of an (n, 2) array of box shapes. Sides
-    must be finite and non-negative and each area at most `MAX_SHAPE_AREA`,
-    so that the union of any two shapes is finite."""
-    arr = np.asarray(shapes, dtype=float)
+    """Contiguous w and h columns of an (n, 2) array of box shapes, each
+    within `geometry`'s shape rule."""
+    rule = f"{name} must have finite, non-negative sides and areas at most {MAX_SHAPE_AREA}"
+    try:
+        arr = np.asarray(shapes, dtype=float)
+    except OverflowError:  # a Python int past the float range
+        raise ValueError(rule) from None
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) == 0:
         raise ValueError(f"{name} must be a non-empty (n, 2) array of (w, h), "
                          f"got shape {arr.shape}")
     w, h = np.ascontiguousarray(arr.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        area = w * h
-    # NaN fails both tests; an infinite side makes its area inf or NaN
-    if not (arr.min() >= 0.0 and area.max() <= MAX_SHAPE_AREA):
-        raise ValueError(f"{name} must have finite, non-negative sides and areas "
-                         f"at most {MAX_SHAPE_AREA}")
+    if not _shapes_ok(w, h):
+        raise ValueError(rule)
     return w, h
 
 

@@ -17,6 +17,19 @@ import numpy as np
 
 # the largest box, anchor or box-shape area: the union of any two is finite
 MAX_SHAPE_AREA = sys.float_info.max / 2
+_FMIN, _FMAX = -sys.float_info.max, sys.float_info.max
+
+
+def _shape_ok(w, h) -> bool:
+    """The rule for every box, anchor and box shape: false for NaN, and for a
+    Python int past the float range as for inf; numpy sides do not warn."""
+    return 0 <= w <= _FMAX and 0 <= h <= _FMAX and float(w) * float(h) <= MAX_SHAPE_AREA
+
+
+def _shapes_ok(w: np.ndarray, h: np.ndarray) -> bool:
+    """`_shape_ok` of every pair of float arrays; an inf side's area is inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(w.min() >= 0.0 and h.min() >= 0.0 and (w * h).max() <= MAX_SHAPE_AREA)
 
 
 @dataclass(frozen=True)
@@ -29,11 +42,10 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        # chained comparisons are False for NaN, so this also rejects it; an
-        # overflowing side makes the area inf or NaN and fails the last test
-        if not (-math.inf < self.x_min <= self.x_max < math.inf
-                and -math.inf < self.y_min <= self.y_max < math.inf
-                and (self.x_max - self.x_min) * (self.y_max - self.y_min) <= MAX_SHAPE_AREA):
+        # an overflowing width is inf, and a negative one is x_min > x_max
+        if not (_FMIN <= self.x_min and self.x_max <= _FMAX
+                and _FMIN <= self.y_min and self.y_max <= _FMAX
+                and _shape_ok(self.x_max - self.x_min, self.y_max - self.y_min)):
             raise ValueError(f"degenerate or non-finite box or area above "
                              f"{MAX_SHAPE_AREA}: {self}")
 
@@ -68,9 +80,8 @@ class CenterBox:
     h: float
 
     def __post_init__(self):
-        if not (-math.inf < self.x_c < math.inf and -math.inf < self.y_c < math.inf
-                and 0 <= self.w < math.inf and 0 <= self.h < math.inf
-                and self.w * self.h <= MAX_SHAPE_AREA):
+        if not (_FMIN <= self.x_c <= _FMAX and _FMIN <= self.y_c <= _FMAX
+                and _shape_ok(self.w, self.h)):
             raise ValueError(f"negative box size or non-finite box or area above "
                              f"{MAX_SHAPE_AREA}: {self}")
 
@@ -101,9 +112,7 @@ def iou(a: Box, b: Box) -> float:
     value is always well defined.
     """
     inter, union = _inter_union(a, b)
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    return inter / union if union > 0.0 else 0.0
 
 
 def _enclosing_sides(a: Box, b: Box) -> tuple[float, float]:
@@ -115,14 +124,15 @@ def _enclosing_sides(a: Box, b: Box) -> tuple[float, float]:
 def giou(a: Box, b: Box) -> float:
     """Generalized IoU: IoU minus the fraction of the smallest enclosing box
     not covered by the union. Range [-1, 1]."""
-    ew, eh = _enclosing_sides(a, b)
-    c = ew * eh
-    if c <= 0.0:
-        return iou(a, b)
     # parallel zero-width boxes have c > 0 but union == 0
     inter, union = _inter_union(a, b)
     i = inter / union if union > 0.0 else 0.0
-    return i - (c - union) / c
+    ew, eh = _enclosing_sides(a, b)
+    c = ew * eh
+    if c == math.inf:  # union / c: over the longer side scaled by 2**e, then the shorter
+        (sw, sh, _, _), e = _far_offsets(corners([a]), corners([b]))
+        return i - (1.0 - math.ldexp(union, e.item()) / max(sw.item(), sh.item()) / min(ew, eh))
+    return i - (c - union) / c if c > 0.0 else i
 
 
 def diou(a: Box, b: Box) -> float:
@@ -137,29 +147,13 @@ def _diou(a: Box, b: Box, i: float) -> float:
     c2 = ew * ew + eh * eh
     if c2 <= 0.0:
         return i
-    dx, dy = _centre_offsets(a, b)
+    dx = (a.x_min + a.x_max) / 2.0 - (b.x_min + b.x_max) / 2.0
+    dy = (a.y_min + a.y_max) / 2.0 - (b.y_min + b.y_max) / 2.0
     rho2 = dx * dx + dy * dy
     if c2 == math.inf or not math.isfinite(rho2):
-        # far apart or near the float range: halved boxes have finite sides
-        # and centres, exactly half for normal floats, and one power of two
-        # brings the longer side into [0.5, 1)
-        a, b = _halved(a), _halved(b)
-        ew, eh = _enclosing_sides(a, b)
-        dx, dy = _centre_offsets(a, b)
-        e = -math.frexp(max(ew, eh))[1]
-        ew, eh, dx, dy = (math.ldexp(v, e) for v in (ew, eh, dx, dy))
-        c2 = ew * ew + eh * eh
-        rho2 = dx * dx + dy * dy
+        (ew, eh, dx, dy), _ = _far_offsets(corners([a]), corners([b]))
+        c2, rho2 = (ew * ew + eh * eh).item(), (dx * dx + dy * dy).item()
     return i - rho2 / c2
-
-
-def _centre_offsets(a: Box, b: Box) -> tuple[float, float]:
-    return ((a.x_min + a.x_max) / 2.0 - (b.x_min + b.x_max) / 2.0,
-            (a.y_min + a.y_max) / 2.0 - (b.y_min + b.y_max) / 2.0)
-
-
-def _halved(box: Box) -> Box:
-    return Box(box.x_min / 2.0, box.y_min / 2.0, box.x_max / 2.0, box.y_max / 2.0)
 
 
 def ciou(a: Box, b: Box) -> float:
@@ -171,8 +165,7 @@ def ciou(a: Box, b: Box) -> float:
     """
     i = iou(a, b)
     d = _diou(a, b, i)
-    aw, ah = a.width, a.height
-    bw, bh = b.width, b.height
+    aw, ah, bw, bh = a.width, a.height, b.width, b.height
     if aw <= 0.0 or ah <= 0.0 or bw <= 0.0 or bh <= 0.0:
         return d
     delta = math.atan(bw / bh) - math.atan(aw / ah)
@@ -217,6 +210,15 @@ def _offsets(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     return ew, eh, dx, dy
 
 
+def _far_offsets(a: np.ndarray, b: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """`_offsets` of the halved boxes (finite, exactly half for normal floats)
+    times the power of two per pair that brings the longer side into [0.5, 1),
+    and e such that each is about the unhalved `_offsets` times 2**e."""
+    ew, eh, dx, dy = _offsets(a / 2.0, b / 2.0)
+    e = -np.frexp(np.maximum(ew, eh))[1]
+    return tuple(np.ldexp(v, e) for v in (ew, eh, dx, dy)), e - 1
+
+
 def box_diou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Array `diou` of corner arrays (..., 4), broadcast like `box_iou`."""
     with np.errstate(over="ignore", invalid="ignore"):  # far pairs: redone below
@@ -224,10 +226,8 @@ def box_diou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         c2 = ew * ew + eh * eh
         rho2 = dx * dx + dy * dy
     far = (c2 == np.inf) | ~np.isfinite(rho2)
-    if far.any():  # as in `_diou`, over every pair; only the far ones are read
-        ew, eh, dx, dy = _offsets(a / 2.0, b / 2.0)
-        e = -np.frexp(np.maximum(ew, eh))[1]
-        ew, eh, dx, dy = (np.ldexp(v, e) for v in (ew, eh, dx, dy))
+    if far.any():  # over every pair; only the far ones are read
+        (ew, eh, dx, dy), _ = _far_offsets(a, b)
         c2 = np.where(far, ew * ew + eh * eh, c2)
         rho2 = np.where(far, dx * dx + dy * dy, rho2)
     penalty = np.zeros(c2.shape)

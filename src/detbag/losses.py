@@ -46,9 +46,9 @@ def box_loss(pred: CenterBox, truth: CenterBox,
     the gradient does not flow through it. `variant` is a `LossVariant` or
     its name in any case.
 
-    Raises ValueError on an unknown variant, when the truth has zero width
-    or height, and for IoU-family variants when the prediction does (the
-    caller must clamp). `CenterBox` itself rejects non-finite coordinates.
+    Raises ValueError on an unknown variant, on a truth with zero width or
+    height, and for IoU-family variants on such a prediction (the caller must
+    clamp) or a squared term past the float range. `CenterBox` rejects NaN/inf.
     """
     if isinstance(variant, str):
         variant = _VARIANTS.get(variant.lower(), variant)
@@ -63,9 +63,11 @@ def box_loss(pred: CenterBox, truth: CenterBox,
         return BoxLossResult(float(diff @ diff), 2.0 * diff)
 
     if pred.w <= 0 or pred.h <= 0:
-        raise ValueError(
-            f"{variant.value} loss needs a predicted box with positive size: {pred}")
-    metric, (gx, gy, gw, gh) = _metric_with_grad(pred, truth, variant)
+        raise ValueError(f"{variant.value} loss needs a predicted box with positive size: {pred}")
+    try:
+        metric, (gx, gy, gw, gh) = _metric_with_grad(pred, truth, variant)
+    except (OverflowError, ZeroDivisionError):  # a square over or under the float range
+        raise ValueError(f"{variant.value} loss leaves the float range: {pred}, {truth}") from None
     return BoxLossResult(1.0 - metric, np.array([-gx, -gy, -gw, -gh]))
 
 

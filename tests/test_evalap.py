@@ -530,7 +530,7 @@ class TestInvariants:
             assert r.ap50 >= r.ap75
             assert r.ap50 >= r.ap
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1),
            new_ids=st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3,
                             unique=True).map(sorted))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,16 @@ class TestBoxLoss:
         # such a box was once accepted, and every variant's value and gradient were NaN
         with pytest.raises(ValueError, match="non-finite box or area"):
             box_loss(CenterBox(0, 0, 1e200, 1e200), CenterBox(0, 0, 1e200, 1e200), "ciou")
+
+    # a union over about 1.3e154 squares past the float range, and one under
+    # about 1e-162 squares to 0; each loss names both boxes
+    @pytest.mark.parametrize("variant", IOU_FAMILY, ids=lambda v: v.value)
+    @pytest.mark.parametrize("side", [1e154, 1e-160], ids=["over", "under"])
+    def test_square_outside_the_float_range_rejected(self, variant, side):
+        pred, truth = CenterBox(0, 0, side, side / 10), CenterBox(side / 4, 0, side, side / 10)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{variant.value} loss leaves the float range: {pred}, {truth}")):
+            box_loss(pred, truth, variant)
 
     def test_zero_size_pred_rejected_for_iou_family(self):
         with pytest.raises(ValueError):

@@ -500,7 +500,7 @@ SUPPRESSORS = [(greedy_nms, [0.0, 0.25, 1 / 3, 0.5, 1.0]),
 class TestProperties:
     @pytest.mark.parametrize("suppress,thresholds", SUPPRESSORS,
                              ids=["greedy", "diou"])
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_idempotent(self, suppress, thresholds, data):
         dets = data.draw(integer_detections())
@@ -510,7 +510,7 @@ class TestProperties:
 
     @pytest.mark.parametrize("suppress,thresholds", SUPPRESSORS,
                              ids=["greedy", "diou"])
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_distinct_scores_make_input_order_irrelevant(self, suppress, thresholds, data):
         dets = data.draw(integer_detections(distinct_scores=True))
