@@ -320,19 +320,13 @@ def geometric(s: Sample, op: str, k: float | None = None,
 def _box_mean_1d(x: np.ndarray, radius: int, axis: int) -> np.ndarray:
     """Mean over a (2*radius+1) window with edge clamping, via cumsum."""
     k = 2 * radius + 1
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (radius, radius)
+    pad = [(radius, radius) if a == axis else (0, 0) for a in range(x.ndim)]
     padded = np.pad(x, pad, mode="edge")
     csum = np.cumsum(padded, axis=axis)
-    zero_shape = list(csum.shape)
-    zero_shape[axis] = 1
-    csum = np.concatenate([np.zeros(zero_shape), csum], axis=axis)
-    n = x.shape[axis]
-    hi = [slice(None)] * x.ndim
-    lo = [slice(None)] * x.ndim
-    hi[axis] = slice(k, k + n)
-    lo[axis] = slice(0, n)
-    return (csum[tuple(hi)] - csum[tuple(lo)]) / k
+    zero = np.zeros(csum.shape[:axis] + (1,) + csum.shape[axis + 1:])
+    csum = np.concatenate([zero, csum], axis=axis)
+    lead = (slice(None),) * axis  # the window sums slice `axis` only
+    return (csum[(*lead, slice(k, None))] - csum[(*lead, slice(None, -k))]) / k
 
 
 def blur(s: Sample, radius: int) -> Sample:

@@ -92,7 +92,7 @@ def cmd_eval(args) -> int:
     records = ingest.read_json(args.detections)
     if not isinstance(records, list):
         raise ValueError(f"{args.detections}: detections file must be a JSON array of results")
-    dets = evalap.parse_coco_detections(records)
+    dets = ingest.parse_coco_detections(records)
     if args.nms != "none":
         dets = _apply_nms(dets, args)
     result = evalap.evaluate(dets, index.truths_by_image())
@@ -171,10 +171,8 @@ def cmd_augment(args) -> int:
                 produced.append(aug.cutmix(a, b, rng))
     elif args.op == "photometric":
         produced = [_photometric_jittered(s, args, rng) for s in samples]
-    elif args.op == "blur":
+    else:  # blur
         produced = [aug.blur(s, args.radius) for s in samples]
-    else:
-        raise ValueError(f"unknown augmentation op: {args.op!r}")
 
     images, annotations = [], []
     for i, sample in enumerate(produced, start=1):
@@ -208,15 +206,13 @@ def _milestones(text: str) -> tuple[int, ...]:
 def cmd_schedule(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1: {args.steps}")
-    rows = ["step,lr"]
+    steps = range(args.steps + 1)
     if args.kind == "cosine":
-        for t in range(args.steps + 1):
-            rows.append(f"{t},{trainsched.cosine_lr(t, args.steps, args.lr, args.lr_min)!r}")
+        rates = [trainsched.cosine_lr(t, args.steps, args.lr, args.lr_min) for t in steps]
     else:
         milestones = _milestones(args.milestones)
-        for t in range(args.steps + 1):
-            rows.append(f"{t},{trainsched.step_decay_lr(t, milestones, args.lr, args.factor)!r}")
-    text = "\n".join(rows) + "\n"
+        rates = [trainsched.step_decay_lr(t, milestones, args.lr, args.factor) for t in steps]
+    text = "step,lr\n" + "".join(f"{t},{lr!r}\n" for t, lr in zip(steps, rates))
     if args.out == "-":
         sys.stdout.write(text)
     else:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from detbag.geometry import Box, box_area, box_iou, corners
-from detbag.ingest import all_numbers, int_field
+from detbag.ingest import parse_coco_detections  # noqa: F401  (kept public here too)
 from detbag.nms import Detection, detection_arrays
 
 IOU_THRESHOLDS = tuple(np.round(np.linspace(0.5, 0.95, 10), 2))
@@ -47,33 +47,6 @@ class EvalResult:
         return {"AP": self.ap, "AP50": self.ap50, "AP75": self.ap75,
                 "AP_S": self.ap_small, "AP_M": self.ap_medium,
                 "AP_L": self.ap_large}
-
-
-def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detection]]:
-    """Group COCO results records (image_id, category_id, bbox [x,y,w,h],
-    score) into per-image detection lists.
-
-    Ids must be integers and bbox entries and scores numbers, by the rules of
-    `detbag.ingest`; anything else is a ValueError naming the record.
-    """
-    out: dict[int, list[Detection]] = {}
-    for i, rec in enumerate(records):
-        try:
-            img = int_field(rec, "image_id", "detection")
-            cid = int_field(rec, "category_id", "detection")
-            x, y, w, h = rec["bbox"]
-            score = rec["score"]
-            if not all_numbers(x, y, w, h, score):
-                raise ValueError(f"bbox entries and score must be numbers: {rec}")
-            x, y = float(x), float(y)
-            det = Detection(Box(x, y, x + float(w), y + float(h)), float(score), cid)
-            out.setdefault(img, []).append(det)
-        except OverflowError:  # float() of an integer past the float range
-            raise ValueError(f"bad detection record #{i}: non-finite bbox entry "
-                             f"or score: {rec}") from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad detection record #{i}: {exc}") from exc
-    return out
 
 
 def _bucket_masks(boxes: np.ndarray) -> np.ndarray:

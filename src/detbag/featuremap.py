@@ -31,16 +31,13 @@ def _sliding_max(x: np.ndarray, k: int, axis: int) -> np.ndarray:
     if k == 1:
         return x
     p = (k - 1) // 2
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (p, p)
+    pad = [(p, p) if a == axis else (0, 0) for a in range(x.ndim)]
     padded = np.pad(x, pad, constant_values=-np.inf)
     n = x.shape[axis]
-    sl = [slice(None)] * x.ndim
-    out = None
-    for i in range(k):
-        sl[axis] = slice(i, i + n)
-        view = padded[tuple(sl)]
-        out = view if out is None else np.maximum(out, view)
+    lead = (slice(None),) * axis  # each window slices `axis` only
+    out = padded[(*lead, slice(0, n))]
+    for i in range(1, k):
+        out = np.maximum(out, padded[(*lead, slice(i, i + n))])
     return out
 
 

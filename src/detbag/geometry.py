@@ -98,9 +98,10 @@ class CenterBox:
         )
 
 
+# float(): a numpy scalar coordinate would warn where a side or centre overflows
 def _inter_union(a: Box, b: Box) -> tuple[float, float]:
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    iw = float(min(a.x_max, b.x_max)) - float(max(a.x_min, b.x_min))
+    ih = float(min(a.y_max, b.y_max)) - float(max(a.y_min, b.y_min))
     inter = iw * ih if (iw > 0.0 and ih > 0.0) else 0.0
     return inter, a.area + b.area - inter
 
@@ -116,8 +117,8 @@ def iou(a: Box, b: Box) -> float:
 
 
 def _enclosing_sides(a: Box, b: Box) -> tuple[float, float]:
-    ew = max(a.x_max, b.x_max) - min(a.x_min, b.x_min)
-    eh = max(a.y_max, b.y_max) - min(a.y_min, b.y_min)
+    ew = float(max(a.x_max, b.x_max)) - float(min(a.x_min, b.x_min))
+    eh = float(max(a.y_max, b.y_max)) - float(min(a.y_min, b.y_min))
     return ew, eh
 
 
@@ -147,8 +148,8 @@ def _diou(a: Box, b: Box, i: float) -> float:
     c2 = ew * ew + eh * eh
     if c2 <= 0.0:
         return i
-    dx = (a.x_min + a.x_max) / 2.0 - (b.x_min + b.x_max) / 2.0
-    dy = (a.y_min + a.y_max) / 2.0 - (b.y_min + b.y_max) / 2.0
+    dx = (float(a.x_min) + float(a.x_max)) / 2.0 - (float(b.x_min) + float(b.x_max)) / 2.0
+    dy = (float(a.y_min) + float(a.y_max)) / 2.0 - (float(b.y_min) + float(b.y_max)) / 2.0
     rho2 = dx * dx + dy * dy
     if c2 == math.inf or not math.isfinite(rho2):
         (ew, eh, dx, dy), _ = _far_offsets(corners([a]), corners([b]))
@@ -165,7 +166,7 @@ def ciou(a: Box, b: Box) -> float:
     """
     i = iou(a, b)
     d = _diou(a, b, i)
-    aw, ah, bw, bh = a.width, a.height, b.width, b.height
+    aw, ah, bw, bh = float(a.width), float(a.height), float(b.width), float(b.height)
     if aw <= 0.0 or ah <= 0.0 or bw <= 0.0 or bh <= 0.0:
         return d
     delta = math.atan(bw / bh) - math.atan(aw / ah)

@@ -1,4 +1,4 @@
-"""Dataset I/O: COCO-subset annotation JSON and binary PPM (P6) images.
+"""Dataset I/O: COCO-subset annotation and results JSON, binary PPM (P6) images.
 
 Only the fields listed on the record types are read; unknown JSON fields
 are ignored. PPM is the single native raster format; convert other corpora
@@ -13,10 +13,12 @@ import sys
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from detbag.geometry import MAX_SHAPE_AREA, Box
+from detbag.nms import Detection
 
 
 @dataclass(frozen=True)
@@ -84,21 +86,17 @@ def _field(record: dict, key: str, what: str):
         raise ValueError(f"{what} is missing field {key!r}: {record}") from None
 
 
-def _is_number(value) -> bool:
-    """A JSON number: a real that is not a boolean."""
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def all_numbers(*values) -> bool:
-    """Every value is a JSON number. Plain ints and floats, the types
-    `json` produces, pass on their exact type without the `Real` test."""
+def _all_numbers(*values) -> bool:
+    """Every value is a JSON number: a real that is not a boolean. Plain ints
+    and floats, the types `json` produces, pass on their exact type."""
     for v in values:
-        if type(v) is not float and type(v) is not int and not _is_number(v):
+        if type(v) is not float and type(v) is not int and (
+                not isinstance(v, Real) or isinstance(v, bool)):
             return False
     return True
 
 
-def int_field(record: dict, key: str, what: str) -> int:
+def _int_field(record: dict, key: str, what: str) -> int:
     """A JSON integer field. An integral float such as 1.0 and a non-boolean
     `Integral` such as `np.int64` are accepted and returned as `int`; 1.7,
     booleans and numeric strings are rejected, not truncated or cast."""
@@ -110,6 +108,22 @@ def int_field(record: dict, key: str, what: str) -> int:
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{what} field {key!r} must be an integer: {record}")
     return int(value)
+
+
+def _xywh_box(bbox) -> tuple[tuple[float, float, float, float], Box]:
+    """The floats and `Box(x, y, x + w, y + h)` of a record's `[x, y, w, h]`: TypeError
+    unless a list or tuple of four JSON numbers, ValueError for an integer past the
+    float range, a negative side or a box outside `geometry`'s shape rule."""
+    if not isinstance(bbox, (list, tuple)) or len(bbox) != 4 or not _all_numbers(*bbox):
+        raise TypeError(f"bbox must be [x, y, w, h]: {bbox}")
+    x, y, w, h = bbox
+    try:
+        xywh = x, y, w, h = float(x), float(y), float(w), float(h)
+    except OverflowError:
+        raise ValueError(f"non-finite bbox: {bbox}") from None
+    if w < 0 or h < 0:
+        raise ValueError(f"negative bbox size: {bbox}")
+    return xywh, Box(x, y, x + w, y + h)
 
 
 def _check_unique(ids: set[int], new_id: int, what: str, record: dict) -> None:
@@ -153,10 +167,10 @@ def parse_annotations(data: dict) -> DatasetIndex:
 
     images, image_ids = [], set()
     for rec in data["images"]:
-        im = ImageInfo(int_field(rec, "id", "image"),
+        im = ImageInfo(_int_field(rec, "id", "image"),
                        str(_field(rec, "file_name", "image")),
-                       int_field(rec, "width", "image"),
-                       int_field(rec, "height", "image"))
+                       _int_field(rec, "width", "image"),
+                       _int_field(rec, "height", "image"))
         _check_unique(image_ids, im.id, "image", rec)
         # a JSON integer can lie past the float range that sizes are scaled in
         if not (0 < im.width <= sys.float_info.max and 0 < im.height <= sys.float_info.max):
@@ -165,30 +179,28 @@ def parse_annotations(data: dict) -> DatasetIndex:
         images.append(im)
     categories, category_ids = [], set()
     for rec in data["categories"]:
-        cat = Category(int_field(rec, "id", "category"),
+        cat = Category(_int_field(rec, "id", "category"),
                        str(_field(rec, "name", "category")))
         _check_unique(category_ids, cat.id, "category", rec)
         categories.append(cat)
 
     annotations, annotation_ids = [], set()
     for rec in data["annotations"]:
-        ann_id = int_field(rec, "id", "annotation")
+        ann_id = _int_field(rec, "id", "annotation")
         _check_unique(annotation_ids, ann_id, "annotation", rec)
         bbox = _field(rec, "bbox", "annotation")
-        if (not isinstance(bbox, (list, tuple)) or len(bbox) != 4
-                or not all_numbers(*bbox)):
-            raise ValueError(f"annotation {ann_id} bbox must be [x, y, w, h]: {bbox}")
-        weight = 1.0
-        if "weight" in rec:
-            weight = rec["weight"]
-            if not all_numbers(weight) or not 0.0 < weight <= 1.0:
-                raise ValueError(f"annotation {ann_id} weight outside (0, 1]: {weight!r}")
         try:
-            xywh = tuple(float(v) for v in bbox)
-        except OverflowError:  # an integer past the float range
-            raise ValueError(f"annotation {ann_id} has a non-finite bbox: {bbox}") from None
-        ann = AnnotationRec(ann_id, int_field(rec, "image_id", "annotation"), xywh,
-                            int_field(rec, "category_id", "annotation"),
+            xywh, _ = _xywh_box(bbox)
+        except TypeError as exc:
+            raise ValueError(f"annotation {ann_id} {exc}") from None
+        except ValueError:
+            raise ValueError(f"annotation {ann_id} has a non-finite bbox or area above "
+                             f"{MAX_SHAPE_AREA}, or a negative size: {bbox}") from None
+        weight = rec.get("weight", 1.0)
+        if not _all_numbers(weight) or not 0.0 < weight <= 1.0:
+            raise ValueError(f"annotation {ann_id} weight outside (0, 1]: {weight!r}")
+        ann = AnnotationRec(ann_id, _int_field(rec, "image_id", "annotation"), xywh,
+                            _int_field(rec, "category_id", "annotation"),
                             float(weight))
         if ann.image_id not in image_ids:
             raise ValueError(
@@ -196,16 +208,29 @@ def parse_annotations(data: dict) -> DatasetIndex:
         if ann.category_id not in category_ids:
             raise ValueError(
                 f"annotation {ann.id} references missing category {ann.category_id}")
-        if ann.bbox[2] < 0 or ann.bbox[3] < 0:
-            raise ValueError(f"annotation {ann.id} has negative bbox size: {ann.bbox}")
-        try:
-            ann.to_box()
-        except ValueError:
-            raise ValueError(
-                f"annotation {ann.id} has a non-finite bbox or area above "
-                f"{MAX_SHAPE_AREA}: {ann.bbox}") from None
         annotations.append(ann)
     return DatasetIndex(tuple(images), tuple(annotations), tuple(categories))
+
+
+def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detection]]:
+    """Group COCO results records (image_id, category_id, bbox [x,y,w,h], score)
+    into per-image detection lists: ids are integers, the bbox follows the
+    annotations' rule, the score is a number, else ValueError names the record."""
+    out: dict[int, list[Detection]] = {}
+    for i, rec in enumerate(records):
+        try:
+            img = _int_field(rec, "image_id", "detection")
+            cid = _int_field(rec, "category_id", "detection")
+            _, box = _xywh_box(rec["bbox"])
+            score = rec["score"]
+            if type(score) is not float and not _all_numbers(score):  # json's floats skip the call
+                raise TypeError(f"score must be a number: {score!r}")
+            out.setdefault(img, []).append(Detection(box, float(score), cid))
+        except OverflowError:  # float() of an integer past the float range
+            raise ValueError(f"bad detection record #{i}: non-finite score: {rec}") from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad detection record #{i}: {exc}") from exc
+    return out
 
 
 def save_annotations(index: DatasetIndex, path) -> None:

@@ -9,6 +9,7 @@ where two box edges coincide (a subgradient is returned there).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,7 +49,7 @@ def box_loss(pred: CenterBox, truth: CenterBox,
 
     Raises ValueError on an unknown variant, on a truth with zero width or
     height, and for IoU-family variants on such a prediction (the caller must
-    clamp) or a squared term past the float range. `CenterBox` rejects NaN/inf.
+    clamp) or a square outside the normal float range. `CenterBox` rejects NaN/inf.
     """
     if isinstance(variant, str):
         variant = _VARIANTS.get(variant.lower(), variant)
@@ -66,7 +67,7 @@ def box_loss(pred: CenterBox, truth: CenterBox,
         raise ValueError(f"{variant.value} loss needs a predicted box with positive size: {pred}")
     try:
         metric, (gx, gy, gw, gh) = _metric_with_grad(pred, truth, variant)
-    except (OverflowError, ZeroDivisionError):  # a square over or under the float range
+    except ArithmeticError:  # a term over or under the float range
         raise ValueError(f"{variant.value} loss leaves the float range: {pred}, {truth}") from None
     return BoxLossResult(1.0 - metric, np.array([-gx, -gy, -gw, -gh]))
 
@@ -77,6 +78,15 @@ def _binding(hi: float, lo: float) -> tuple[float, float]:
     predicted x1 = x - w/2 when `lo` is 1.0; a tie binds the truth's corner.
     The flags are 0.0 or 1.0."""
     return hi - lo, 0.5 * (hi + lo)
+
+
+def _square(x: float) -> float:
+    """x * x for a divisor, rounded once (`** 2` calls libm `pow`); ArithmeticError
+    unless it is a normal float, as the loss is then not scale-exact."""
+    s = x * x
+    if not sys.float_info.min <= s < math.inf:
+        raise ArithmeticError(f"{x} squared leaves the normal float range")
+    return s
 
 
 def _metric_with_grad(pred: CenterBox, truth: CenterBox, variant: LossVariant
@@ -113,7 +123,7 @@ def _metric_with_grad(pred: CenterBox, truth: CenterBox, variant: LossVariant
     union = pw * ph + tw * th - inter
     du_x, du_y, du_w, du_h = 0.0 - di_x, 0.0 - di_y, ph - di_w, pw - di_h
     iou = inter / union
-    u2 = union**2
+    u2 = _square(union)
     g_x = (di_x * union - inter * du_x) / u2
     g_y = (di_y * union - inter * du_y) / u2
     g_w = (di_w * union - inter * du_w) / u2
@@ -133,20 +143,20 @@ def _metric_with_grad(pred: CenterBox, truth: CenterBox, variant: LossVariant
         dc_x, dc_y, dc_w, dc_h = eh * dew_x, ew * deh_y, eh * dew_w, ew * deh_h
         # giou = iou - (C - U)/C = iou - 1 + U/C
         giou = iou - (c - union) / c
-        c_2 = c**2
+        c_2 = _square(c)
         return giou, (g_x + (du_x * c - union * dc_x) / c_2,
                       g_y + (du_y * c - union * dc_y) / c_2,
                       g_w + (du_w * c - union * dc_w) / c_2,
                       g_h + (du_h * c - union * dc_h) / c_2)
 
-    rho2 = (px - tx) ** 2 + (py - ty) ** 2
+    rho2 = (px - tx) * (px - tx) + (py - ty) * (py - ty)
     c2 = ew * ew + eh * eh
     dc2_x, dc2_y, dc2_w, dc2_h = (2 * ew * dew_x, 2 * eh * deh_y,
                                   2 * ew * dew_w, 2 * eh * deh_h)
     diou = iou - rho2 / c2
     # d(rho2) is (2 (px - tx), 2 (py - ty), 0, 0); its zeros stay as the
     # vector form's 0.0 * c2 terms
-    c2_2 = c2**2
+    c2_2 = _square(c2)
     g_x = g_x - (2 * (px - tx) * c2 - rho2 * dc2_x) / c2_2
     g_y = g_y - (2 * (py - ty) * c2 - rho2 * dc2_y) / c2_2
     g_w = g_w - (0.0 * c2 - rho2 * dc2_w) / c2_2

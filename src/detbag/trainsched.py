@@ -17,19 +17,31 @@ DEFAULT_MILESTONES = (400_000, 450_000)
 DEFAULT_DECAY_FACTOR = 0.1
 
 
+def _rate(rate, what: str, **inputs: float) -> float:
+    """`rate()` of finite inputs; ValueError naming an input that is not, or
+    saying `what` overflows when the rate is not finite."""
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value}")
+    try:
+        lr = rate()
+    except OverflowError:
+        lr = math.inf
+    if not math.isfinite(lr):
+        raise ValueError(f"{what} overflows: "
+                         + ", ".join(f"{name}={value}" for name, value in inputs.items()))
+    return lr
+
+
 def cosine_lr(t: int, total_steps: int, lr_max: float, lr_min: float = 0.0) -> float:
     """Cosine annealing: lr_min + (lr_max - lr_min) * (1 + cos(pi t/T)) / 2."""
     if total_steps <= 0:
         raise ValueError(f"total_steps must be positive: {total_steps}")
     if not 0 <= t <= total_steps:
         raise ValueError(f"step {t} outside [0, {total_steps}]")
-    for name, value in (("lr_max", lr_max), ("lr_min", lr_min)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite: {value}")
-    lr = lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * t / total_steps))
-    if not math.isfinite(lr):
-        raise ValueError(f"cosine rate overflows: lr_max={lr_max}, lr_min={lr_min}")
-    return lr
+    return _rate(lambda: lr_min + 0.5 * (lr_max - lr_min)
+                 * (1.0 + math.cos(math.pi * t / total_steps)),
+                 "cosine rate", lr_max=lr_max, lr_min=lr_min)
 
 
 def step_decay_lr(t: int, milestones: tuple[int, ...] = DEFAULT_MILESTONES,
@@ -38,18 +50,9 @@ def step_decay_lr(t: int, milestones: tuple[int, ...] = DEFAULT_MILESTONES,
     """Piecewise-constant decay: lr0 * factor^(milestones passed by step t)."""
     if list(milestones) != sorted(milestones):
         raise ValueError(f"milestones must be sorted: {milestones}")
-    for name, value in (("lr0", lr0), ("factor", factor)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite: {value}")
     passed = sum(1 for m in milestones if m <= t)
-    try:
-        lr = lr0 * factor**passed
-    except OverflowError:
-        lr = math.inf
-    if not math.isfinite(lr):
-        raise ValueError(f"step rate lr0 * factor**{passed} overflows: "
-                         f"lr0={lr0}, factor={factor}")
-    return lr
+    return _rate(lambda: lr0 * factor**passed, f"step rate lr0 * factor**{passed}",
+                 lr0=lr0, factor=factor)
 
 
 @dataclass(frozen=True)

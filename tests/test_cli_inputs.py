@@ -8,7 +8,8 @@ that set a run's length (`--iters`, the GA sizes and `--steps`) draw only
 small or invalid values, since a huge valid count is a long run, not bad
 input; so do `augment`'s `--out-size` and `--radius`, whose huge valid
 values allocate huge images. Choice flags draw only their choices, which
-argparse enforces. Fixed cases of bad numbers in the input files follow.
+argparse enforces. Fixed cases of bad numbers in the input files follow,
+then drawn mutations of valid input files, run the same way.
 """
 
 import io
@@ -240,3 +241,123 @@ def test_unreadable_json_file_named(tmp_path, command, where):
         code, out, err = run_main(argv)
         assert (code, out) == (1, ""), name
         assert re.fullmatch(rf"error: {re.escape(str(bad))}: [^\n]*\n", err), (name, err)
+
+
+# Bad values in the input files. Each example applies one or two mutations
+# to valid files: a field (a bbox entry included) takes one of the 18 JSON
+# values below, a key is deleted, or a record is duplicated; for `augment`,
+# one PPM header may be replaced by a bad or odd one.
+FILE_VALUES = [None, "x", [], {}, True, -1, 0, 1.5, 1e308, -1e308, float("nan"),
+               float("inf"), 10**400, 10**30, "1", [1, 2, 3, 4], -0.0, 1e-320]
+PPM_HEADERS = [b"P6\n12 10\n255\n", b"P6 # comment\n12 10 255\n", b"P5\n12 10\n255\n",
+               b"P6\n-12 10\n255\n", b"P6\n12 10\n256\n", b"P6\n12 10\n0\n",
+               b"P6\n11 10\n255\n", b"P6\n1e1 10\n255\n", b"P6\n" + b"9" * 400 + b" 10\n255\n",
+               "P6\n١٢ 10\n255\n".encode(), b"P6\n12", b""]
+VALID_BOXES = [[[1, 1, 6, 5], [4, 3, 7, 6]]] * 4
+VALID_DETECTIONS = [{"image_id": img, "category_id": 1 + i % 2,
+                     "bbox": [b[0] + 0.5, b[1], b[2], b[3] - 0.5], "score": 0.9 - 0.1 * i}
+                    for img in range(1, 5) for i, b in enumerate(VALID_BOXES[0])]
+
+
+def _paths(value, prefix=()):
+    """Every key and index path into a JSON value, outermost first."""
+    out = []
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        out.append(prefix + (key,))
+        out.extend(_paths(child, prefix + (key,)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def file_root(tmp_path_factory):
+    """A directory holding the valid annotations, detections and PPMs."""
+    root = tmp_path_factory.mktemp("files")
+    write_dataset(root, VALID_BOXES, image_size=(12, 10), with_images=True,
+                  categories=(1, 2), rng=np.random.default_rng(269))
+    write_detections(root, VALID_DETECTIONS)
+    return root
+
+
+VALID_ANNOTATIONS = {
+    "images": [{"id": i, "file_name": f"img_{i:04d}.ppm", "width": 12, "height": 10}
+               for i in range(1, 5)],
+    "annotations": [{"id": 2 * i + k + 1, "image_id": i + 1, "bbox": box,
+                     "category_id": 1 + k} for i in range(4)
+                    for k, box in enumerate(VALID_BOXES[0])],
+    "categories": [{"id": 1, "name": "class1"}, {"id": 2, "name": "class2"}]}
+MUTATIONS = [(where, path, op) for where, payload in (("annotations", VALID_ANNOTATIONS),
+                                                      ("detections", VALID_DETECTIONS))
+             for path in _paths(payload)
+             for op in [*range(len(FILE_VALUES)), "delete", "duplicate"]
+             if op != "duplicate" or (len(path) == 2 - (where == "detections")
+                                      and isinstance(path[-1], int))]
+
+
+def _mutated(file_root, tmp_path, mutations):
+    """Write mutated copies of the valid files to tmp_path; the PPMs stay in
+    file_root. Returns (detections path, annotations path)."""
+    files = {"annotations": json.loads(json.dumps(VALID_ANNOTATIONS)),
+             "detections": json.loads(json.dumps(VALID_DETECTIONS))}
+    for where, path, op in mutations:
+        parent = files[where]
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == "delete":
+                del parent[path[-1]]
+            elif op == "duplicate":
+                parent.append(json.loads(json.dumps(parent[path[-1]])))
+            else:
+                parent[path[-1]] = FILE_VALUES[op]
+        except (KeyError, IndexError, TypeError):  # an earlier mutation moved the path
+            pass
+    ann = tmp_path / "annotations.json"
+    ann.write_text(json.dumps(files["annotations"]))
+    return write_detections(tmp_path, files["detections"]), ann
+
+
+FILE_MUTATIONS = st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutations=FILE_MUTATIONS, nms=st.sampled_from(["none", "greedy", "soft", "diou"]))
+@example(mutations=[("detections", (0, "bbox", 3), FILE_VALUES.index(10**400))], nms="soft")
+@example(mutations=[("annotations", ("annotations", 0, "bbox"), "delete")], nms="none")
+def test_eval_file_mutations(file_root, tmp_path_factory, mutations, nms):
+    dets, ann = _mutated(file_root, tmp_path_factory.mktemp("eval"), mutations)
+    check_exit(*run_main(["eval", str(dets), str(ann), "--nms", nms, "--json"]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutations=FILE_MUTATIONS, evolve=st.booleans())
+@example(mutations=[("annotations", ("images", 0, "width"), FILE_VALUES.index(1e-320))],
+         evolve=False)
+def test_optimize_anchors_file_mutations(file_root, tmp_path_factory, mutations, evolve):
+    _, ann = _mutated(file_root, tmp_path_factory.mktemp("anchors"), mutations)
+    argv = ["optimize-anchors", str(ann), "--k", "2", "--json"]
+    argv += ["--evolve", "--evolve-generations", "2", "--evolve-population", "3"] * evolve
+    check_exit(*run_main(argv))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+       header=st.sampled_from(PPM_HEADERS), image=st.integers(1, 4),
+       op=st.sampled_from(["mosaic", "mixup", "cutmix", "photometric", "blur"]))
+@example(mutations=[], header=PPM_HEADERS[-2], image=2, op="mosaic")
+def test_augment_file_mutations(file_root, tmp_path_factory, mutations, header, image, op):
+    root = tmp_path_factory.mktemp("augment")
+    _, ann = _mutated(file_root, root, mutations)
+    for i in range(1, 5):
+        raw = (file_root / f"img_{i:04d}.ppm").read_bytes()
+        if i == image:  # in place of the valid header, PPM_HEADERS[0]
+            raw = header + raw[len(PPM_HEADERS[0]):]
+        (root / f"img_{i:04d}.ppm").write_bytes(raw)
+    out_dir = root / "out"
+    code, out, err = run_main(["augment", str(ann), str(root), "--op", op,
+                               f"--out-dir={out_dir}"])
+    check_exit(code, out.replace(str(out_dir), ""), err)
+    if code == 0:
+        written = (out_dir / "annotations.json").read_text()
+        assert not re.search(r"NaN|Infinity", written), written

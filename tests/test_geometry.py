@@ -410,6 +410,20 @@ class TestFarRange:
         assert diou(a, b) == reference_diou(a, b)
 
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+    def test_numpy_coordinates_score_as_python_floats(self):
+        """A box of `np.float64` coordinates, on either side or both, scores
+        as the same Python floats do, also where a side, centre, offset or
+        aspect ratio overflows."""
+        thin = (Box(0, 0, 1e300, 1e-10), Box(0, 0, 1, 1))  # 1e300 / 1e-10 overflows
+        pairs = [FAR_PAIR, GIOU_RANGE_PAIR, thin, *RANGE_PAIRS, *range_pairs(5, 100)]
+        for a, b in pairs + [(b, a) for a, b in pairs]:
+            na, nb = (Box(*corners([box])[0]) for box in (a, b))
+            assert type(na.x_min) is np.float64
+            for metric in METRICS:
+                assert metric(na, nb) == metric(na, b) == metric(a, nb) == metric(a, b)
+
+
 class TestCiou:
     def test_identity(self):
         assert ciou(Box(0, 0, 1, 1), Box(0, 0, 1, 1)) == 1.0

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from detbag.geometry import Box
 from detbag.ingest import (DatasetIndex, load_annotations, load_image,
-                           parse_annotations, save_annotations, save_image)
+                           parse_annotations, parse_coco_detections, save_annotations,
+                           save_image)
 
 
 def minimal_dataset():
@@ -179,6 +181,53 @@ class TestAnnotations:
         truths = parse_annotations(data).truths_by_image()
         assert truths[2] == []
         assert truths[1] == [(Box(10, 20, 40, 60), 2)]
+
+
+# bbox entries: JSON numbers of every kind and size, and values that are not
+# numbers; plus containers that are not four entries
+BBOX_ENTRIES = [0, -0.0, 1.5, -1, 1e-320, 1e154, 1e308, -1.7e308, float("nan"),
+                float("inf"), 10**400, True, "1", None]
+ODD_BBOXES = [(0, 0, 5, 5), [0, 0, 5], [0, 0, 5, 5, 5], [], {"x": 0}, "0055", 5, None,
+              np.array([0.0, 0.0, 5.0, 5.0]), [np.float64(1), np.int64(2), 3, 4],
+              [0, 0, -1e-300, 5], [1, 0, -1e-20, 5], [1e308, 0, 1e308, 1]]
+
+
+def parses_as_annotation(bbox):
+    """The [x, y, w, h] floats, or None when `parse_annotations` refuses the
+    bbox with a ValueError naming the annotation."""
+    data = minimal_dataset()
+    data["annotations"][0]["bbox"] = bbox
+    try:
+        return parse_annotations(data).annotations[0].bbox
+    except ValueError as exc:
+        assert str(exc).startswith("annotation 5 "), exc
+        return None
+
+
+def parses_as_detection(bbox):
+    """The corner box, or None when `parse_coco_detections` refuses the bbox
+    with a ValueError naming the record."""
+    good = {"image_id": 1, "category_id": 2, "bbox": [0, 0, 5, 5], "score": 0.5}
+    try:
+        return parse_coco_detections([good, dict(good, bbox=bbox)])[1][1].box
+    except ValueError as exc:
+        assert str(exc).startswith("bad detection record #1: "), exc
+        return None
+
+
+@pytest.mark.filterwarnings("error")
+def test_annotations_and_detections_share_one_bbox_rule():
+    """Both readers accept exactly the same bboxes, as the same box."""
+    grid = [list(b) for b in itertools.product(BBOX_ENTRIES, repeat=4)] + ODD_BBOXES
+    accepted = 0
+    for bbox in grid:
+        xywh, box = parses_as_annotation(bbox), parses_as_detection(bbox)
+        assert (xywh is None) == (box is None), bbox
+        if box is not None:
+            x, y, w, h = xywh
+            assert box == Box(x, y, x + w, y + h) and w >= 0 and h >= 0, bbox
+            accepted += 1
+    assert 0 < accepted < len(grid)
 
 
 class TestPpm:

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detbag.geometry import CenterBox
 from detbag.losses import BoxLossResult, LossVariant, box_loss, label_smooth
@@ -49,7 +51,7 @@ def vector_metric_with_grad(p, t, variant):
     union = pw * ph + tw * th - inter
     d_union = np.array([0.0, 0.0, ph, pw]) - d_inter
     iou = inter / union
-    d_iou = (d_inter * union - inter * d_union) / union**2
+    d_iou = (d_inter * union - inter * d_union) / (union * union)
     if variant is LossVariant.IOU:
         return iou, d_iou
 
@@ -63,15 +65,15 @@ def vector_metric_with_grad(p, t, variant):
         c = ew * eh
         d_c = np.array([eh * dew_x, ew * deh_y, eh * dew_w, ew * deh_h])
         giou = iou - (c - union) / c
-        d_giou = d_iou + (d_union * c - union * d_c) / c**2
+        d_giou = d_iou + (d_union * c - union * d_c) / (c * c)
         return giou, d_giou
 
-    rho2 = (px - tx) ** 2 + (py - ty) ** 2
+    rho2 = (px - tx) * (px - tx) + (py - ty) * (py - ty)
     d_rho2 = np.array([2 * (px - tx), 2 * (py - ty), 0.0, 0.0])
     c2 = ew * ew + eh * eh
     d_c2 = np.array([2 * ew * dew_x, 2 * eh * deh_y, 2 * ew * dew_w, 2 * eh * deh_h])
     diou = iou - rho2 / c2
-    d_diou = d_iou - (d_rho2 * c2 - rho2 * d_c2) / c2**2
+    d_diou = d_iou - (d_rho2 * c2 - rho2 * d_c2) / (c2 * c2)
     if variant is LossVariant.DIOU:
         return diou, d_diou
 
@@ -278,6 +280,34 @@ class TestBoxLoss:
     def test_zero_size_truth_rejected(self):
         with pytest.raises(ValueError):
             box_loss(CenterBox(0, 0, 1, 1), CenterBox(0, 0, 0, 1), "mse")
+
+
+# unit-scale centres, 0 or at least 2**-20 in magnitude so that every k
+# below scales them and their differences exactly, and sides in [0.5, 10]
+UNIT = st.just(0.0) | st.floats(2.0**-20, 10.0) | st.floats(-10.0, -(2.0**-20))
+SIDE = st.floats(0.5, 10.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.tuples(UNIT, UNIT, SIDE, SIDE), t=st.tuples(UNIT, UNIT, SIDE, SIDE),
+       k=st.integers(-300, 300), variant=st.sampled_from(IOU_FAMILY))
+@example(p=(0.0, 0.0, 1.0, 1.0), t=(0.5, 0.25, 1.0, 2.0), k=300, variant=LossVariant.CIOU)
+@example(p=(0.0, 0.0, 1.0, 1.0), t=(0.5, 0.25, 1.0, 2.0), k=-300, variant=LossVariant.GIOU)
+@example(p=(0.0, 0.0, 10.0, 10.0), t=(-10.0, 10.0, 10.0, 10.0), k=250, variant=LossVariant.DIOU)
+@example(p=(0.0, 0.0, 0.5, 0.5), t=(0.0, 0.0, 0.5, 0.5), k=-250, variant=LossVariant.IOU)
+def test_power_of_two_scale_exact(p, t, k, variant):
+    """box_loss(2**k p, 2**k t) has the value of box_loss(p, t) and 2**-k
+    times its gradient, exactly, wherever it returns; it returns for
+    |k| <= 250 and otherwise may raise ValueError, not a wrong value."""
+    base = box_loss(CenterBox(*p), CenterBox(*t), variant)
+    try:
+        scaled = box_loss(CenterBox(*(math.ldexp(v, k) for v in p)),
+                          CenterBox(*(math.ldexp(v, k) for v in t)), variant)
+    except ValueError as exc:
+        assert abs(k) > 250 and "leaves the float range" in str(exc)
+        return
+    assert scaled.value == base.value
+    assert np.array_equal(np.ldexp(scaled.grad, k), base.grad)
 
 
 class TestLabelSmooth:
