@@ -89,6 +89,11 @@ def sigmoid(x: float) -> float:
     raise ValueError(f"sigmoid of NaN: {x}")
 
 
+def _sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """`sigmoid`'s two branches at once: every exp() argument is <= 0."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def decode(p: RawPrediction, cfg: DecodeConfig) -> Decoded:
     """Decode raw head outputs into a pixel-space box plus probabilities.
     Raises ValueError on a cell or anchor_index outside `cfg`, and naming

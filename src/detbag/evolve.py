@@ -284,13 +284,8 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
         if (new_assign == assign).all():
             break
         assign = new_assign
-        # a stable sort keeps each cluster's boxes in input order; a reseed
-        # can take the last box of an earlier cluster, which then keeps its
-        # centroid until the next assignment step
-        groups = np.split(shapes[np.argsort(assign, kind="stable")], np.cumsum(counts)[:-1])
-        for c, group in enumerate(groups):
-            if len(group):
-                centroids[c] = np.median(group, axis=0)
+        for c in np.flatnonzero(counts):
+            centroids[c] = np.median(shapes[assign == c], axis=0)
 
     order = np.argsort(best_centroids[:, 0] * best_centroids[:, 1], kind="stable")
     anchors = [Anchor(float(w), float(h)) for w, h in best_centroids[order]]

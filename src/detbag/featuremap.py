@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from detbag.decode import sigmoid
+from detbag.decode import _sigmoid_array, sigmoid
 
 SPP_DEFAULT_KERNELS = (1, 5, 9, 13)
 LEAKY_RELU_SLOPE = 0.1
@@ -83,15 +83,6 @@ def dropblock_mask(h: int, w: int, block_size: int, keep_prob: float,
     kept = float(mask.sum())
     scale = (h * w) / kept if kept > 0 else 1.0
     return mask, scale
-
-
-def _sigmoid_array(x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def pointwise_sam(f: np.ndarray, attention_logits: np.ndarray) -> np.ndarray:

@@ -42,10 +42,12 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        # an overflowing width is inf, and a negative one is x_min > x_max
+        # an overflowing width is inf, and a negative one is x_min > x_max;
+        # float(): numpy scalar coordinates would warn where a side overflows
         if not (_FMIN <= self.x_min and self.x_max <= _FMAX
                 and _FMIN <= self.y_min and self.y_max <= _FMAX
-                and _shape_ok(self.x_max - self.x_min, self.y_max - self.y_min)):
+                and _shape_ok(float(self.x_max) - float(self.x_min),
+                              float(self.y_max) - float(self.y_min))):
             raise ValueError(f"degenerate or non-finite box or area above "
                              f"{MAX_SHAPE_AREA}: {self}")
 
@@ -63,8 +65,8 @@ class Box:
 
     def to_center(self) -> "CenterBox":
         return CenterBox(
-            (self.x_min + self.x_max) / 2.0,
-            (self.y_min + self.y_max) / 2.0,
+            (float(self.x_min) + float(self.x_max)) / 2.0,
+            (float(self.y_min) + float(self.y_max)) / 2.0,
             self.width,
             self.height,
         )
@@ -90,12 +92,8 @@ class CenterBox:
         return self.w * self.h
 
     def to_corner(self) -> Box:
-        return Box(
-            self.x_c - self.w / 2.0,
-            self.y_c - self.h / 2.0,
-            self.x_c + self.w / 2.0,
-            self.y_c + self.h / 2.0,
-        )
+        x, y, w, h = float(self.x_c), float(self.y_c), float(self.w), float(self.h)
+        return Box(x - w / 2.0, y - h / 2.0, x + w / 2.0, y + h / 2.0)
 
 
 # float(): a numpy scalar coordinate would warn where a side or centre overflows

@@ -48,8 +48,9 @@ def box_loss(pred: CenterBox, truth: CenterBox,
     its name in any case.
 
     Raises ValueError on an unknown variant, on a truth with zero width or
-    height, and for IoU-family variants on such a prediction (the caller must
-    clamp) or a square outside the normal float range. `CenterBox` rejects NaN/inf.
+    height, for IoU-family variants on such a prediction (the caller must
+    clamp), a square outside the normal float range or a gradient term past
+    the float range, and for MSE on a sum past it. `CenterBox` rejects NaN/inf.
     """
     if isinstance(variant, str):
         variant = _VARIANTS.get(variant.lower(), variant)
@@ -59,15 +60,21 @@ def box_loss(pred: CenterBox, truth: CenterBox,
         raise ValueError(f"ground-truth box must have positive size: {truth}")
 
     if variant is LossVariant.MSE:
-        diff = (np.array([pred.x_c, pred.y_c, pred.w, pred.h], dtype=float)
-                - np.array([truth.x_c, truth.y_c, truth.w, truth.h], dtype=float))
-        return BoxLossResult(float(diff @ diff), 2.0 * diff)
+        with np.errstate(over="ignore"):  # refused below; a finite sum has a finite 2 * diff
+            diff = (np.array([pred.x_c, pred.y_c, pred.w, pred.h], dtype=float)
+                    - np.array([truth.x_c, truth.y_c, truth.w, truth.h], dtype=float))
+            value = float(diff @ diff)
+        if value == math.inf:
+            raise ValueError(f"mse loss leaves the float range: {pred}, {truth}")
+        return BoxLossResult(value, 2.0 * diff)
 
     if pred.w <= 0 or pred.h <= 0:
         raise ValueError(f"{variant.value} loss needs a predicted box with positive size: {pred}")
     try:
         metric, (gx, gy, gw, gh) = _metric_with_grad(pred, truth, variant)
-    except ArithmeticError:  # a term over or under the float range
+        if not all(map(math.isfinite, (gx, gy, gw, gh))):  # a product past the float range
+            raise ArithmeticError
+    except ArithmeticError:  # or a square outside the normal float range
         raise ValueError(f"{variant.value} loss leaves the float range: {pred}, {truth}") from None
     return BoxLossResult(1.0 - metric, np.array([-gx, -gy, -gw, -gh]))
 
@@ -80,12 +87,11 @@ def _binding(hi: float, lo: float) -> tuple[float, float]:
     return hi - lo, 0.5 * (hi + lo)
 
 
-def _square(x: float) -> float:
-    """x * x for a divisor, rounded once (`** 2` calls libm `pow`); ArithmeticError
-    unless it is a normal float, as the loss is then not scale-exact."""
-    s = x * x
+def _normal(s: float) -> float:
+    """`s`, a square for a divisor, formed by `x * x` (`** 2` is libm `pow`);
+    ArithmeticError unless it is a normal float, as the loss is then not scale-exact."""
     if not sys.float_info.min <= s < math.inf:
-        raise ArithmeticError(f"{x} squared leaves the normal float range")
+        raise ArithmeticError(f"square {s} leaves the normal float range")
     return s
 
 
@@ -123,7 +129,7 @@ def _metric_with_grad(pred: CenterBox, truth: CenterBox, variant: LossVariant
     union = pw * ph + tw * th - inter
     du_x, du_y, du_w, du_h = 0.0 - di_x, 0.0 - di_y, ph - di_w, pw - di_h
     iou = inter / union
-    u2 = _square(union)
+    u2 = _normal(union * union)
     g_x = (di_x * union - inter * du_x) / u2
     g_y = (di_y * union - inter * du_y) / u2
     g_w = (di_w * union - inter * du_w) / u2
@@ -143,7 +149,7 @@ def _metric_with_grad(pred: CenterBox, truth: CenterBox, variant: LossVariant
         dc_x, dc_y, dc_w, dc_h = eh * dew_x, ew * deh_y, eh * dew_w, ew * deh_h
         # giou = iou - (C - U)/C = iou - 1 + U/C
         giou = iou - (c - union) / c
-        c_2 = _square(c)
+        c_2 = _normal(c * c)
         return giou, (g_x + (du_x * c - union * dc_x) / c_2,
                       g_y + (du_y * c - union * dc_y) / c_2,
                       g_w + (du_w * c - union * dc_w) / c_2,
@@ -156,7 +162,7 @@ def _metric_with_grad(pred: CenterBox, truth: CenterBox, variant: LossVariant
     diou = iou - rho2 / c2
     # d(rho2) is (2 (px - tx), 2 (py - ty), 0, 0); its zeros stay as the
     # vector form's 0.0 * c2 terms
-    c2_2 = _square(c2)
+    c2_2 = _normal(c2 * c2)
     g_x = g_x - (2 * (px - tx) * c2 - rho2 * dc2_x) / c2_2
     g_y = g_y - (2 * (py - ty) * c2 - rho2 * dc2_y) / c2_2
     g_w = g_w - (0.0 * c2 - rho2 * dc2_w) / c2_2
@@ -167,7 +173,7 @@ def _metric_with_grad(pred: CenterBox, truth: CenterBox, variant: LossVariant
     delta = math.atan(tw / th) - math.atan(pw / ph)
     v = 4.0 / math.pi**2 * delta * delta
     alpha = v / (1.0 - iou + v) if v > 0.0 else 0.0
-    s = pw * pw + ph * ph
+    s = _normal(pw * pw + ph * ph)
     # d(v) is (0, 0, -8/pi^2 delta ph / s, 8/pi^2 delta pw / s)
     return diou - alpha * v, (g_x - alpha * 0.0, g_y - alpha * 0.0,
                               g_w - alpha * (-8.0 / math.pi**2 * delta * ph / s),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from detbag.decode import _sigmoid_array
 from detbag.featuremap import (SPP_DEFAULT_KERNELS, activation, dropblock_mask,
                                max_pool_same, pointwise_sam, spp)
 
@@ -106,6 +107,33 @@ class TestDropblock:
             dropblock_mask(5, 5, 6, 0.9, rng)
         with pytest.raises(ValueError):
             dropblock_mask(5, 5, 2, 0.0, rng)
+
+
+def masked_sigmoid(x):
+    """The array sigmoid as `featuremap` once wrote it: `sigmoid`'s two
+    branches on the two halves of a mask, scattered into one output."""
+    out = np.empty(x.shape, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoidArray:
+    EDGES = (0.0, 5e-324, 709.78, 745.2, 1.7e308, math.inf)
+
+    def test_equals_masked_reference(self):
+        rng = np.random.default_rng(149)
+        # 2**20 logits with signed mantissas at scales 1e-300 to 1e308, 2**18
+        # across exp()'s range, then signed zeros, subnormals, exp()'s
+        # overflow and underflow edges, and the ends of the float range
+        x = np.concatenate([
+            rng.uniform(-1.0, 1.0, 2**20) * 10.0 ** rng.uniform(-300.0, 308.0, 2**20),
+            rng.uniform(-750.0, 750.0, 2**18), self.EDGES, np.negative(self.EDGES)])
+        got, want = _sigmoid_array(x), masked_sigmoid(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestPointwiseSam:

@@ -262,6 +262,35 @@ class TestConvert:
                     make()
             assert CenterBox(0.0, 0.0, big, np.float64(1.0)).area == 1e200
 
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+    def test_numpy_coordinates_refused_as_python_floats(self):
+        big = np.float64(1.7e308)
+        with pytest.raises(ValueError, match="degenerate"):
+            Box(-big, 0, big, 1)  # the width overflows
+        with pytest.raises(ValueError, match="non-finite"):
+            Box(big, 0.0, big, 1.0).to_center()  # the centre sum overflows
+        with pytest.raises(ValueError, match="degenerate"):
+            CenterBox(-big, 0.0, np.float64(8e307), 1.0).to_corner()
+
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_coordinates_convert_as_python_floats(self):
+        """Boxes of `np.float64` coordinates are accepted, and convert to
+        each other's form, exactly where the same Python floats are."""
+        fmax = sys.float_info.max
+        values = (-fmax, -1.7e308, -1.0, -0.0, 5e-324, 1.0, 1e154, 1e308, fmax)
+
+        def outcome(make):
+            try:
+                box = make()
+            except ValueError:
+                return None
+            return [float(v) for v in vars(box).values()]
+        for t in itertools.product(values, repeat=4):
+            n = [np.float64(v) for v in t]
+            for cls, convert in ((Box, Box.to_center), (CenterBox, CenterBox.to_corner)):
+                assert outcome(lambda: cls(*n)) == outcome(lambda: cls(*t))
+                assert outcome(lambda: convert(cls(*n))) == outcome(lambda: convert(cls(*t)))
+
     def test_largest_box_scores_one_against_itself(self):
         side = 2.0**511
         for big in (Box(0.0, 0.0, side, MAX_SHAPE_AREA / side),

@@ -3,10 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from detbag.geometry import CenterBox
+from detbag.geometry import Box, CenterBox, box_diou, box_iou, ciou, corners, diou, giou, iou
 from detbag.losses import BoxLossResult, LossVariant, box_loss, label_smooth
 
 VARIANTS = ("mse", "iou", "giou", "diou", "ciou")
@@ -271,6 +271,45 @@ class TestBoxLoss:
                 f"{variant.value} loss leaves the float range: {pred}, {truth}")):
             box_loss(pred, truth, variant)
 
+    # the sum of squares, or a difference itself, past the float range; with
+    # warnings as errors, numpy's overflow warning would fail the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pred,truth", [
+        (CenterBox(1e200, 0, 1, 1), CenterBox(0, 0, 1, 1)),
+        (CenterBox(1.7e308, 0, 1, 1), CenterBox(-1.7e308, 0, 1, 1))], ids=["square", "difference"])
+    def test_mse_outside_the_float_range_rejected(self, pred, truth):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mse loss leaves the float range: {pred}, {truth}")):
+            box_loss(pred, truth, "mse")
+
+    def test_mse_near_the_float_range_keeps_its_value(self):
+        pred, truth = CenterBox(1e154, 0, 1, 1), CenterBox(0, 0, 1, 1)
+        diff = np.array([1e154, 0.0, 0.0, 0.0])
+        res = box_loss(pred, truth, "mse")
+        assert res.value == float(diff @ diff) == 1e154 * 1e154
+        assert np.array_equal(res.grad, 2.0 * diff)
+
+    # CIoU's aspect term divides by pw * pw + ph * ph, which underflows to 0
+    # for the first prediction and is subnormal for the second; the other
+    # variants score both pairs
+    @pytest.mark.parametrize("pred", [CenterBox(0, 0, 1e-170, 1e-170),
+                                      CenterBox(0, 0, 1e-160, 2e-160)], ids=["zero", "subnormal"])
+    def test_ciou_aspect_square_outside_the_float_range_rejected(self, pred):
+        truth = CenterBox(0, 0, 1, 1)
+        for variant in ("iou", "giou", "diou"):
+            assert math.isfinite(box_loss(pred, truth, variant).value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"ciou loss leaves the float range: {pred}, {truth}")):
+            box_loss(pred, truth, "ciou")
+
+    def test_gradient_past_the_float_range_rejected(self):
+        # every square is normal, but GIoU's d(union) * c is 2e253 * 1e55 = inf
+        pred, truth = CenterBox(1e253, 2.5e-199, 2e253, 5e-199), CenterBox(0.5, 2.5e-199, 1, 5e-199)
+        assert math.isfinite(box_loss(pred, truth, "iou").grad[3])
+        with pytest.raises(ValueError, match=re.escape(
+                f"giou loss leaves the float range: {pred}, {truth}")):
+            box_loss(pred, truth, "giou")
+
     def test_zero_size_pred_rejected_for_iou_family(self):
         with pytest.raises(ValueError):
             box_loss(CenterBox(0, 0, 0, 1), CenterBox(0, 0, 1, 1), "iou")
@@ -308,6 +347,51 @@ def test_power_of_two_scale_exact(p, t, k, variant):
         return
     assert scaled.value == base.value
     assert np.array_equal(np.ldexp(scaled.grad, k), base.grad)
+
+
+# corners anywhere in the float range, near unit scale and near the
+# squares' limits; sides from 0 to past the area bound, which `Box` applies
+COORD = st.floats(-1.7e308, 1.7e308) | st.floats(-1e3, 1e3) | st.floats(-1e160, 1e160)
+SIDE_ANY = (st.just(0.0) | st.floats(0.0, 1.7e308) | st.floats(0.0, 10.0)
+            | st.floats(0.0, 1e-150))
+
+
+@st.composite
+def accepted_boxes(draw):
+    """A `Box` that `Box` accepts, of Python or `np.float64` coordinates."""
+    x, y, w, h = draw(COORD), draw(COORD), draw(SIDE_ANY), draw(SIDE_ANY)
+    cast = np.float64 if draw(st.booleans()) else float
+    try:
+        return Box(*map(cast, (x, y, x + w, y + h)))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(a=accepted_boxes(), b=accepted_boxes())
+@example(a=Box(1e200, 0.0, 1e200, 1.0), b=Box(0.0, 0.0, 1.0, 1.0))  # the MSE sum overflows
+@example(a=Box(np.float64(1.7e308), 0.0, np.float64(1.7e308), 1.0),  # the centre sum does
+         b=Box(0.0, 0.0, 1.0, 1.0))
+@example(a=Box(-5e-171, -5e-171, 5e-171, 5e-171), b=Box(-0.5, -0.5, 0.5, 0.5))  # CIoU's aspect
+@example(a=Box(-5e-161, -1e-160, 5e-161, 1e-160), b=Box(-0.5, -0.5, 0.5, 0.5))  # square
+@example(a=Box(0.0, 0.0, 2e253, 5e-199), b=Box(0.0, 0.0, 1.0, 5e-199))  # a GIoU gradient term
+def test_accepted_pairs_finite_or_value_error(a, b):
+    """Every metric of two accepted boxes is finite, with no numpy warning;
+    every loss on their centre forms is finite or raises ValueError."""
+    for metric in (iou, giou, diou, ciou):
+        assert math.isfinite(metric(a, b))
+    ca, cb = corners([a]), corners([b])
+    assert np.isfinite(box_iou(ca, cb)).all() and np.isfinite(box_diou(ca, cb)).all()
+    try:
+        pred, truth = a.to_center(), b.to_center()
+    except ValueError:  # a centre sum past the float range
+        return
+    for variant in VARIANTS:
+        try:
+            res = box_loss(pred, truth, variant)
+        except ValueError:
+            continue
+        assert math.isfinite(res.value) and np.isfinite(res.grad).all()
 
 
 class TestLabelSmooth:
