@@ -9,7 +9,7 @@ with median centroid updates; `evolve_anchors` refines its result by GA.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import logging
 from dataclasses import dataclass
 
@@ -91,14 +91,13 @@ def _mutate(vec: HyperVector, rng: np.random.Generator) -> HyperVector:
     return vec.with_values(values)
 
 
-def _sample_parent(pool: list[tuple[float, HyperVector]],
+def _sample_parent(top: list[tuple[float, HyperVector]],
                    rng: np.random.Generator) -> HyperVector:
-    ranked = heapq.nsmallest(PARENT_POOL, range(len(pool)),
-                             key=lambda i: (-pool[i][0], i))
-    fits = np.array([pool[i][0] for i in ranked])
+    """A fitness-weighted draw from the best (fitness, vector) pairs, best first."""
+    fits = np.array([f for f, _ in top])
     weights = fits - fits.min() + 1e-12
     weights /= weights.sum()
-    return pool[ranked[int(rng.choice(len(ranked), p=weights))]][1]
+    return top[int(rng.choice(len(top), p=weights))][1]
 
 
 def evolve(seed: HyperVector, fitness, cfg: GAConfig = GAConfig(),
@@ -114,27 +113,28 @@ def evolve(seed: HyperVector, fitness, cfg: GAConfig = GAConfig(),
     seed_fit = float(fitness(seed))
     if not np.isfinite(seed_fit):
         raise ValueError("seed vector has non-finite fitness")
-    pool: list[tuple[float, HyperVector]] = [(seed_fit, seed)]
-    best_fit, best_vec = seed_fit, seed
-    history = [GenerationStats(0, best_fit, seed_fit)]
+    # the PARENT_POOL best candidates so far, best first; a new one goes
+    # after its equals, so ties rank by evaluation order and top[0] is the
+    # first candidate at the best fitness
+    top = [(seed_fit, seed)]
+    history = [GenerationStats(0, seed_fit, seed_fit)]
 
     for gen in range(1, cfg.generations + 1):
         gen_fits = []
         for _ in range(cfg.population):
-            parent = _sample_parent(pool, rng)
+            parent = _sample_parent(top, rng)
             child = _mutate(parent, rng)
             f = float(fitness(child))
             if not np.isfinite(f):
                 logger.warning("discarding candidate with non-finite fitness: %s",
                                child.values())
                 continue
-            pool.append((f, child))
+            bisect.insort(top, (f, child), key=lambda entry: -entry[0])
+            del top[PARENT_POOL:]
             gen_fits.append(f)
-            if f > best_fit:
-                best_fit, best_vec = f, child
         mean = float(np.mean(gen_fits)) if gen_fits else float("nan")
-        history.append(GenerationStats(gen, best_fit, mean))
-    return best_vec, history
+        history.append(GenerationStats(gen, top[0][0], mean))
+    return top[0][1], history
 
 
 def _shape_columns(shapes, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -154,21 +154,30 @@ def _shape_columns(shapes, name: str) -> tuple[np.ndarray, np.ndarray]:
     return w, h
 
 
-def _shape_iou(w: np.ndarray, h: np.ndarray, aw: float, ah: float) -> np.ndarray:
-    """`decode.shape_iou` of n shapes (w, h) against one shape (aw, ah).
+def _shape_iou(w: np.ndarray, h: np.ndarray, aw: float, ah: float,
+               wh: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """`decode.shape_iou` of n shapes (w, h) against one shape (aw, ah), written
+    to `out` when given; `wh` is `w * h` when the caller holds it.
 
     Each ufunc runs over one contiguous row of n values, so the temporaries
     stay in cache. Equals `shape_iou` exactly, including 0 for an empty
     union, and so the corner-form `box_iou` of the concentric boxes for any
     sides that halve exactly (all but subnormal floats).
     """
+    out = np.minimum(h, ah, out=out)
     inter = np.minimum(w, aw)
-    inter *= np.minimum(h, ah)
-    union = w * h
-    union += aw * ah
-    union -= inter
-    out = np.zeros(len(w))
-    np.divide(inter, union, out=out, where=union > 0.0)
+    inter *= out
+    area = aw * ah
+    np.add(w * h if wh is None else wh, area, out=out)
+    out -= inter  # the union
+    if area > 0.0:
+        # inter <= fl(w h) and inter <= area, as rounding is monotone, and
+        # fl(w h + area) >= max(w h, area), equal to 2 area when w h == area,
+        # as w h <= MAX_SHAPE_AREA; so every union is positive
+        return np.divide(inter, out, out=out)
+    positive = out > 0.0
+    np.divide(inter, out, out=out, where=positive)
+    out[~positive] = 0.0
     return out
 
 
@@ -184,10 +193,13 @@ def _recall_columns(shapes, anchors: list[Anchor], threshold: float):
 def _recall(w: np.ndarray, h: np.ndarray, anchors: list[Anchor],
             threshold: float) -> tuple[float, float]:
     """`anchor_recall` of checked shape columns."""
-    best = _shape_iou(w, h, float(anchors[0].w), float(anchors[0].h))
+    wh, buf = w * h, np.empty(len(w))
+    best = _shape_iou(w, h, float(anchors[0].w), float(anchors[0].h), wh)
     for a in anchors[1:]:
-        np.maximum(best, _shape_iou(w, h, float(a.w), float(a.h)), out=best)
-    return float((best > threshold).mean()), float(best.mean())
+        np.maximum(best, _shape_iou(w, h, float(a.w), float(a.h), wh, buf), out=best)
+    # the means as ndarray.mean forms them: a sum over n, one rounding each
+    return (float(np.count_nonzero(best > threshold) / len(best)),
+            float(best.sum() / len(best)))
 
 
 def anchor_recall(shapes, anchors: list[Anchor],
@@ -235,6 +247,15 @@ class KMeansResult:
     distance_per_iteration: list[float]
 
 
+def _distinct_rows(shapes: np.ndarray) -> np.ndarray:
+    """The rows of `np.unique(shapes, axis=0)` for an (n, 2) array of positive
+    shapes, in its order: by the first column, then the second."""
+    ordered = shapes[np.lexsort((shapes[:, 1], shapes[:, 0]))]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[first]
+
+
 def kmeans_anchors(boxes, k: int, iters: int = 100, *,
                    rng: np.random.Generator) -> KMeansResult:
     """Cluster positive (w, h) box shapes into k anchors.
@@ -251,7 +272,7 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
     if not (w.min() > 0.0 and h.min() > 0.0):
         raise ValueError("boxes must have positive sides")
     shapes = np.column_stack((w, h))
-    distinct = np.unique(shapes, axis=0)
+    distinct = _distinct_rows(shapes)
     if k < 1 or k > len(distinct):
         raise ValueError(f"k={k} but only {len(distinct)} distinct shapes")
     if iters < 1:
@@ -261,10 +282,14 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
     best_centroids = centroids.copy()
     assign = np.full(len(shapes), -1)
     distances: list[float] = []
+    wh, dist = w * h, np.empty((k, len(shapes)))
+    boxes_idx = np.arange(len(shapes))
     for _ in range(iters):
-        dist = 1.0 - np.stack([_shape_iou(w, h, aw, ah) for aw, ah in centroids], axis=1)
-        new_assign = dist.argmin(axis=1)
-        per_box = dist[np.arange(len(shapes)), new_assign]
+        for c, (aw, ah) in enumerate(centroids):
+            _shape_iou(w, h, aw, ah, wh, dist[c])
+        np.subtract(1.0, dist, out=dist)
+        new_assign = dist.argmin(axis=0)  # ties go to the first centroid
+        per_box = dist[new_assign, boxes_idx]
         counts = np.bincount(new_assign, minlength=k)
         # reseed empties from the farthest box so every cluster stays live;
         # the counts follow each move, which can empty a later cluster

@@ -32,6 +32,23 @@ def _shapes_ok(w: np.ndarray, h: np.ndarray) -> bool:
         return bool(w.min() >= 0.0 and h.min() >= 0.0 and (w * h).max() <= MAX_SHAPE_AREA)
 
 
+def _corners_ok(x_min, y_min, x_max, y_max) -> bool:
+    """The rule for a corner-form box: finite corners and, as `_shape_ok`, its
+    sides. An overflowing width is inf, and a negative one is x_min > x_max;
+    float(): numpy scalar coordinates would warn where a side overflows."""
+    return (_FMIN <= x_min and x_max <= _FMAX and _FMIN <= y_min and y_max <= _FMAX
+            and _shape_ok(float(x_max) - float(x_min), float(y_max) - float(y_min)))
+
+
+def _midpoint(lo, hi) -> float:
+    """(lo + hi) / 2 of two finite coordinates. Where the sum overflows, both
+    lie near the float range and halve exactly, so lo / 2 + hi / 2 is the
+    correctly rounded midpoint."""
+    lo, hi = float(lo), float(hi)
+    mid = (lo + hi) / 2.0
+    return lo / 2.0 + hi / 2.0 if math.isinf(mid) else mid
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned rectangle in corner form."""
@@ -42,12 +59,7 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        # an overflowing width is inf, and a negative one is x_min > x_max;
-        # float(): numpy scalar coordinates would warn where a side overflows
-        if not (_FMIN <= self.x_min and self.x_max <= _FMAX
-                and _FMIN <= self.y_min and self.y_max <= _FMAX
-                and _shape_ok(float(self.x_max) - float(self.x_min),
-                              float(self.y_max) - float(self.y_min))):
+        if not _corners_ok(self.x_min, self.y_min, self.x_max, self.y_max):
             raise ValueError(f"degenerate or non-finite box or area above "
                              f"{MAX_SHAPE_AREA}: {self}")
 
@@ -64,12 +76,8 @@ class Box:
         return self.width * self.height
 
     def to_center(self) -> "CenterBox":
-        return CenterBox(
-            (float(self.x_min) + float(self.x_max)) / 2.0,
-            (float(self.y_min) + float(self.y_max)) / 2.0,
-            self.width,
-            self.height,
-        )
+        return CenterBox(_midpoint(self.x_min, self.x_max), _midpoint(self.y_min, self.y_max),
+                         self.width, self.height)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from detbag.geometry import MAX_SHAPE_AREA, Box
+from detbag.geometry import MAX_SHAPE_AREA, Box, _corners_ok
 from detbag.nms import Detection
 
 
@@ -110,20 +110,20 @@ def _int_field(record: dict, key: str, what: str) -> int:
     return int(value)
 
 
-def _xywh_box(bbox) -> tuple[tuple[float, float, float, float], Box]:
-    """The floats and `Box(x, y, x + w, y + h)` of a record's `[x, y, w, h]`: TypeError
-    unless a list or tuple of four JSON numbers, ValueError for an integer past the
-    float range, a negative side or a box outside `geometry`'s shape rule."""
+def _xywh(bbox) -> tuple[float, float, float, float]:
+    """The floats of a record's `[x, y, w, h]`: TypeError unless a list or tuple of
+    four JSON numbers, ValueError for an integer past the float range or a negative
+    side. The caller applies `geometry`'s corner rule to `(x, y, x + w, y + h)`."""
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4 or not _all_numbers(*bbox):
         raise TypeError(f"bbox must be [x, y, w, h]: {bbox}")
     x, y, w, h = bbox
     try:
-        xywh = x, y, w, h = float(x), float(y), float(w), float(h)
+        x, y, w, h = float(x), float(y), float(w), float(h)
     except OverflowError:
         raise ValueError(f"non-finite bbox: {bbox}") from None
     if w < 0 or h < 0:
         raise ValueError(f"negative bbox size: {bbox}")
-    return xywh, Box(x, y, x + w, y + h)
+    return x, y, w, h
 
 
 def _check_unique(ids: set[int], new_id: int, what: str, record: dict) -> None:
@@ -190,14 +190,16 @@ def parse_annotations(data: dict) -> DatasetIndex:
         _check_unique(annotation_ids, ann_id, "annotation", rec)
         bbox = _field(rec, "bbox", "annotation")
         try:
-            xywh, _ = _xywh_box(bbox)
+            xywh = x, y, w, h = _xywh(bbox)
+            if not _corners_ok(x, y, x + w, y + h):
+                raise ValueError
         except TypeError as exc:
             raise ValueError(f"annotation {ann_id} {exc}") from None
         except ValueError:
             raise ValueError(f"annotation {ann_id} has a non-finite bbox or area above "
                              f"{MAX_SHAPE_AREA}, or a negative size: {bbox}") from None
         weight = rec.get("weight", 1.0)
-        if not _all_numbers(weight) or not 0.0 < weight <= 1.0:
+        if (type(weight) is not float and not _all_numbers(weight)) or not 0.0 < weight <= 1.0:
             raise ValueError(f"annotation {ann_id} weight outside (0, 1]: {weight!r}")
         ann = AnnotationRec(ann_id, _int_field(rec, "image_id", "annotation"), xywh,
                             _int_field(rec, "category_id", "annotation"),
@@ -221,7 +223,8 @@ def parse_coco_detections(records: Sequence[Mapping]) -> dict[int, list[Detectio
         try:
             img = _int_field(rec, "image_id", "detection")
             cid = _int_field(rec, "category_id", "detection")
-            _, box = _xywh_box(rec["bbox"])
+            x, y, w, h = _xywh(rec["bbox"])
+            box = Box(x, y, x + w, y + h)
             score = rec["score"]
             if type(score) is not float and not _all_numbers(score):  # json's floats skip the call
                 raise TypeError(f"score must be a number: {score!r}")

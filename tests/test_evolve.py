@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import logging
@@ -9,8 +10,8 @@ import pytest
 from detbag import evolve as evolve_module
 from detbag.decode import Anchor, shape_iou
 from detbag.geometry import MAX_SHAPE_AREA, Box, box_iou, iou
-from detbag.evolve import (GAConfig, HyperEntry, HyperVector, KMeansResult,
-                           anchor_recall, evolve, evolve_anchors, kmeans_anchors)
+from detbag.evolve import (PARENT_POOL, GAConfig, GenerationStats, HyperEntry, HyperVector,
+                           KMeansResult, anchor_recall, evolve, evolve_anchors, kmeans_anchors)
 
 
 def sphere_fitness(target: dict[str, float]):
@@ -40,7 +41,58 @@ class TestHyperVector:
         assert out["c"] == 5.0
 
 
+def heapq_sample_parent(pool, rng):
+    """The parent draw over the whole pool of (fitness, vector) candidates, as
+    it ran before `evolve` kept its best few: the oracle for that ranking."""
+    ranked = heapq.nsmallest(PARENT_POOL, range(len(pool)),
+                             key=lambda i: (-pool[i][0], i))
+    fits = np.array([pool[i][0] for i in ranked])
+    weights = fits - fits.min() + 1e-12
+    weights /= weights.sum()
+    return pool[ranked[int(rng.choice(len(ranked), p=weights))]][1]
+
+
+def pool_evolve(seed, fitness, cfg):
+    """`evolve` keeping every candidate and drawing through `heapq_sample_parent`."""
+    rng = np.random.default_rng(cfg.seed)
+    seed_fit = float(fitness(seed))
+    pool = [(seed_fit, seed)]
+    best_fit, best_vec = seed_fit, seed
+    history = [GenerationStats(0, best_fit, seed_fit)]
+    for gen in range(1, cfg.generations + 1):
+        gen_fits = []
+        for _ in range(cfg.population):
+            child = evolve_module._mutate(heapq_sample_parent(pool, rng), rng)
+            f = float(fitness(child))
+            if not np.isfinite(f):
+                continue
+            pool.append((f, child))
+            gen_fits.append(f)
+            if f > best_fit:
+                best_fit, best_vec = f, child
+        mean = float(np.mean(gen_fits)) if gen_fits else float("nan")
+        history.append(GenerationStats(gen, best_fit, mean))
+    return best_vec, history
+
+
 class TestEvolve:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_whole_pool_reference_under_ties(self, seed):
+        """Fitness rounded to 0.1 ties often, so the draw depends on ranking
+        equal fitnesses by evaluation order; every 7th candidate is NaN."""
+        sphere = sphere_fitness({"a": 2.0, "b": 8.0, "c": 1.0})
+
+        def tied(calls):
+            def fitness(vec):
+                return math.nan if next(calls) % 7 == 6 else round(sphere(vec) / 10.0, 1)
+            return fitness
+
+        cfg = GAConfig(population=7, generations=25, seed=seed)
+        best, history = evolve(three_entry_vector(), tied(itertools.count()), cfg)
+        want_best, want_history = pool_evolve(three_entry_vector(), tied(itertools.count()), cfg)
+        assert best.values() == want_best.values()
+        assert repr(history) == repr(want_history)
+
     def test_best_improves_over_seed_on_sphere(self):
         fitness = sphere_fitness({"a": 2.0, "b": 8.0, "c": 1.0})
         seed = three_entry_vector()
@@ -271,6 +323,82 @@ class TestExactAgainstCornerForm:
                     float((best > thr).mean()), float(best.mean()))
 
 
+def masked_shape_iou(w, h, aw, ah):
+    """The kernel as it divided under a `union > 0` mask for every anchor:
+    the reference for the unmasked divide at a positive anchor area."""
+    inter = np.minimum(w, aw) * np.minimum(h, ah)
+    union = w * h
+    union += aw * ah
+    union -= inter
+    out = np.zeros(len(w))
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
+def per_anchor_recall(w, h, anchors, threshold):
+    """`_recall` as one masked kernel call per anchor, each forming w * h."""
+    best = masked_shape_iou(w, h, float(anchors[0].w), float(anchors[0].h))
+    for a in anchors[1:]:
+        np.maximum(best, masked_shape_iou(w, h, float(a.w), float(a.h)), out=best)
+    return float((best > threshold).mean()), float(best.mean())
+
+
+class TestKernelExactness:
+    @pytest.mark.parametrize("kind", ["integer", "log-uniform"])
+    def test_recall_equals_the_per_anchor_form(self, kind):
+        rng = np.random.default_rng(197)
+        for _ in range(120):
+            shapes, anchor_shapes = shape_sets(rng, kind)
+            anchor_shapes = anchor_shapes[(anchor_shapes > 0).all(axis=1)]
+            if rng.random() < 0.2:  # an anchor whose area underflows to 0
+                anchor_shapes = np.vstack([anchor_shapes, [1e-200, 1e-200]])
+            if len(anchor_shapes) == 0:
+                continue
+            anchors = [Anchor(w, h) for w, h in anchor_shapes]
+            w, h = evolve_module._shape_columns(shapes, "shapes")
+            threshold = float(rng.uniform(0.01, 0.99))
+            got = evolve_module._recall(w, h, anchors, threshold)
+            assert repr(got) == repr(per_anchor_recall(w, h, anchors, threshold))  # Python floats
+            for a in anchors:
+                got = evolve_module._shape_iou(w, h, a.w, a.h, w * h, np.full(len(w), np.nan))
+                assert got.tobytes() == masked_shape_iou(w, h, a.w, a.h).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_anchor_area_keeps_the_masked_divide(self):
+        # zero and subnormal sides against anchors of area 0: every union is
+        # 0 or a shape's own area, as the scalar `shape_iou` forms it
+        w = np.array([0.0, 0.0, 1e-200, 3.0, 1e-200, 5e-324, 2.0, 1e-150])
+        h = np.array([0.0, 4.0, 1e-200, 0.0, 2e-200, 1.0, 1e-310, 1e-150])
+        anchors = [Anchor(1e-200, 1e-200), Anchor(1e-300, 1e-30), Anchor(5e-324, 5e-324)]
+        best = np.zeros(len(w))
+        for a in anchors:
+            assert a.w * a.h == 0.0
+            want = [shape_iou(wi, hi, a.w, a.h) for wi, hi in zip(w.tolist(), h.tolist())]
+            assert evolve_module._shape_iou(w, h, a.w, a.h).tolist() == want
+            buf = np.full(len(w), np.nan)
+            assert evolve_module._shape_iou(w, h, a.w, a.h, w * h, buf) is buf
+            assert buf.tolist() == want
+            best = np.maximum(best, want)
+        assert evolve_module._recall(w, h, anchors, 0.5) == (
+            float((best > 0.5).mean()), float(best.mean()))
+        # -0.0 passes the shape rule, and this union is -0.0: the result is still +0.0
+        got = evolve_module._shape_iou(np.array([2.0]), np.array([-0.0]), -0.0, 3.0)
+        assert got.tobytes() == np.zeros(1).tobytes()
+
+    def test_distinct_rows_equal_np_unique(self):
+        rng = np.random.default_rng(211)
+        for i in range(300):
+            n = int(rng.integers(1, 400))
+            if i % 3 == 0:  # repeated rows and many equal first columns
+                shapes = rng.integers(1, 7, (n, 2)) * float(rng.choice([0.5, 3.0, 1e-3, 1e150]))
+            elif i % 3 == 1:  # equal first columns only
+                shapes = np.column_stack([rng.integers(1, 4, n) * 2.5, rng.uniform(0.5, 9.0, n)])
+            else:
+                shapes = np.exp(rng.uniform(-20, 20, (n, 2)))
+            got = evolve_module._distinct_rows(shapes)
+            assert got.tobytes() == np.unique(shapes, axis=0).tobytes()
+
+
 def planted_clusters(rng, n_each=200):
     c1 = np.column_stack([rng.normal(10, 0.6, n_each), rng.normal(10, 0.6, n_each)])
     c2 = np.column_stack([rng.normal(50, 2.0, n_each), rng.normal(30, 1.5, n_each)])
@@ -331,6 +459,17 @@ class TestKMeansAnchors:
         want, made = masked_kmeans(shapes, k, np.random.default_rng(seed))
         assert made == reseeds
         assert repr(kmeans_anchors(shapes, k, rng=np.random.default_rng(seed))) == repr(want)
+
+    def test_equals_masked_reference_on_repeated_shapes(self):
+        # grid shapes repeat and share sides, so centroid seeding draws from
+        # the distinct rows and assignment ties between equal centroids
+        rng = np.random.default_rng(223)
+        for _ in range(60):
+            shapes = rng.integers(1, 6, (int(rng.integers(3, 120)), 2)) * 4.0
+            k = int(rng.integers(1, len(np.unique(shapes, axis=0)) + 1))
+            seed = int(rng.integers(1 << 30))
+            want, _ = masked_kmeans(shapes, k, np.random.default_rng(seed))
+            assert repr(kmeans_anchors(shapes, k, rng=np.random.default_rng(seed))) == repr(want)
 
     def test_reseed_that_empties_an_earlier_cluster(self):
         # the reseed of cluster c takes the last box of a cluster before c;

@@ -170,6 +170,24 @@ class TestConvert:
     def test_symmetric_about_origin(self):
         assert Box(-1, -1, 1, 1).to_center() == CenterBox(0, 0, 2, 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_centre_is_the_rounded_midpoint(self):
+        """The centre is (lo + hi) / 2 wherever that sum is finite, and past
+        the float range the correctly rounded midpoint, not a ValueError."""
+        fmax = sys.float_info.max
+        values = (-fmax, -1.7e308, -1e308, -1.0, -0.0, 5e-324, 1.0, 1e308, 1.5e308, 1.7e308, fmax)
+        for lo, hi in itertools.product(values, repeat=2):
+            if lo > hi or not math.isfinite(hi - lo):
+                continue
+            centre = Box(lo, 0.0, hi, 0.5).to_center()
+            if math.isfinite(lo + hi):
+                assert centre.x_c == (lo + hi) / 2
+            else:
+                assert centre.x_c == float((Fraction(lo) + Fraction(hi)) / 2)
+            assert centre.y_c == 0.25 and centre.w == hi - lo
+        assert Box(1e308, 0, 1.5e308, 1).to_center() == CenterBox(1.25e308, 0.5, 5e307, 1)
+        assert Box(0, -1.7e308, 1, -1.7e308).to_center() == CenterBox(0.5, -1.7e308, 1, 0.0)
+
     def test_round_trip_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -267,8 +285,8 @@ class TestConvert:
         big = np.float64(1.7e308)
         with pytest.raises(ValueError, match="degenerate"):
             Box(-big, 0, big, 1)  # the width overflows
-        with pytest.raises(ValueError, match="non-finite"):
-            Box(big, 0.0, big, 1.0).to_center()  # the centre sum overflows
+        # the centre sum overflows, so both corners halve first
+        assert Box(big, 0.0, big, 1.0).to_center() == CenterBox(big, 0.5, 0.0, 1.0)
         with pytest.raises(ValueError, match="degenerate"):
             CenterBox(-big, 0.0, np.float64(8e307), 1.0).to_corner()
 

@@ -289,6 +289,31 @@ class TestBoxLoss:
         assert res.value == float(diff @ diff) == 1e154 * 1e154
         assert np.array_equal(res.grad, 2.0 * diff)
 
+    def test_mse_equals_the_guarded_form_across_the_range(self):
+        """Values and gradients equal, bit for bit, the numpy form computed
+        under `np.errstate`, on both sides of the 2**509 coordinate bound;
+        an overflowing sum raises, with no numpy warning."""
+        rng = np.random.default_rng(509)
+        bound = 2.0**509
+        edges = [bound, np.nextafter(bound, 0.0), np.nextafter(bound, math.inf), 2.0**510]
+        for _ in range(2000):
+            scale = float(rng.choice([1.0, 1e150, bound, 1e160, 1e300]))
+            coords = rng.uniform(-1.0, 1.0, 8) * scale
+            coords[rng.random(8) < 0.1] = rng.choice(edges) * rng.choice([-1.0, 1.0])
+            coords[[2, 6]] = np.abs(coords[[2, 6]])
+            coords[[3, 7]] = rng.uniform(0.5, 2.0, 2)  # areas within the bound
+            p, t = coords[:4].tolist(), coords[4:].tolist()
+            with np.errstate(over="ignore"):
+                diff = np.array(p) - np.array(t)
+                value = float(diff @ diff)
+            pred, truth = CenterBox(*p), CenterBox(*t)
+            if value == math.inf or t[2] == 0.0:
+                with pytest.raises(ValueError):
+                    box_loss(pred, truth, "mse")
+                continue
+            res = box_loss(pred, truth, "mse")
+            assert res.value == value and res.grad.tobytes() == (2.0 * diff).tobytes()
+
     # CIoU's aspect term divides by pw * pw + ph * ph, which underflows to 0
     # for the first prediction and is subnormal for the second; the other
     # variants score both pairs
@@ -375,17 +400,16 @@ def accepted_boxes(draw):
 @example(a=Box(-5e-171, -5e-171, 5e-171, 5e-171), b=Box(-0.5, -0.5, 0.5, 0.5))  # CIoU's aspect
 @example(a=Box(-5e-161, -1e-160, 5e-161, 1e-160), b=Box(-0.5, -0.5, 0.5, 0.5))  # square
 @example(a=Box(0.0, 0.0, 2e253, 5e-199), b=Box(0.0, 0.0, 1.0, 5e-199))  # a GIoU gradient term
+@example(a=Box(1e308, 0.0, 1.5e308, 1.0), b=Box(0.0, 0.0, 1.0, 1.0))  # centre sums past
+@example(a=Box(1.7e308, 0.0, 1.7e308, 1.0), b=Box(1e308, 0.0, 1.5e308, 1.0))  # the float range
 def test_accepted_pairs_finite_or_value_error(a, b):
     """Every metric of two accepted boxes is finite, with no numpy warning;
-    every loss on their centre forms is finite or raises ValueError."""
+    both have centre forms, and every loss on them is finite or raises ValueError."""
     for metric in (iou, giou, diou, ciou):
         assert math.isfinite(metric(a, b))
     ca, cb = corners([a]), corners([b])
     assert np.isfinite(box_iou(ca, cb)).all() and np.isfinite(box_diou(ca, cb)).all()
-    try:
-        pred, truth = a.to_center(), b.to_center()
-    except ValueError:  # a centre sum past the float range
-        return
+    pred, truth = a.to_center(), b.to_center()
     for variant in VARIANTS:
         try:
             res = box_loss(pred, truth, variant)
