@@ -155,9 +155,9 @@ def _shape_columns(shapes, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shape_iou(w: np.ndarray, h: np.ndarray, aw: float, ah: float,
-               wh: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """`decode.shape_iou` of n shapes (w, h) against one shape (aw, ah), written
-    to `out` when given; `wh` is `w * h` when the caller holds it.
+               wh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`decode.shape_iou` of n shapes (w, h), whose areas are `wh = w * h`,
+    against one shape (aw, ah), written to `out` when given.
 
     Each ufunc runs over one contiguous row of n values, so the temporaries
     stay in cache. Equals `shape_iou` exactly, including 0 for an empty
@@ -168,7 +168,7 @@ def _shape_iou(w: np.ndarray, h: np.ndarray, aw: float, ah: float,
     inter = np.minimum(w, aw)
     inter *= out
     area = aw * ah
-    np.add(w * h if wh is None else wh, area, out=out)
+    np.add(wh, area, out=out)
     out -= inter  # the union
     if area > 0.0:
         # inter <= fl(w h) and inter <= area, as rounding is monotone, and
@@ -247,15 +247,6 @@ class KMeansResult:
     distance_per_iteration: list[float]
 
 
-def _distinct_rows(shapes: np.ndarray) -> np.ndarray:
-    """The rows of `np.unique(shapes, axis=0)` for an (n, 2) array of positive
-    shapes, in its order: by the first column, then the second."""
-    ordered = shapes[np.lexsort((shapes[:, 1], shapes[:, 0]))]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[first]
-
-
 def kmeans_anchors(boxes, k: int, iters: int = 100, *,
                    rng: np.random.Generator) -> KMeansResult:
     """Cluster positive (w, h) box shapes into k anchors.
@@ -272,7 +263,7 @@ def kmeans_anchors(boxes, k: int, iters: int = 100, *,
     if not (w.min() > 0.0 and h.min() > 0.0):
         raise ValueError("boxes must have positive sides")
     shapes = np.column_stack((w, h))
-    distinct = _distinct_rows(shapes)
+    distinct = np.unique(shapes, axis=0)
     if k < 1 or k > len(distinct):
         raise ValueError(f"k={k} but only {len(distinct)} distinct shapes")
     if iters < 1:

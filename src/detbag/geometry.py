@@ -33,11 +33,14 @@ def _shapes_ok(w: np.ndarray, h: np.ndarray) -> bool:
 
 
 def _corners_ok(x_min, y_min, x_max, y_max) -> bool:
-    """The rule for a corner-form box: finite corners and, as `_shape_ok`, its
-    sides. An overflowing width is inf, and a negative one is x_min > x_max;
-    float(): numpy scalar coordinates would warn where a side overflows."""
-    return (_FMIN <= x_min and x_max <= _FMAX and _FMIN <= y_min and y_max <= _FMAX
-            and _shape_ok(float(x_max) - float(x_min), float(y_max) - float(y_min)))
+    """The rule for a corner-form box: finite corners and `_shape_ok` of its
+    sides, written out on their floats to save a call per box. An overflowing
+    width is inf, and a negative one is x_min > x_max; float(): numpy scalar
+    coordinates would warn where a side overflows."""
+    if not (_FMIN <= x_min and x_max <= _FMAX and _FMIN <= y_min and y_max <= _FMAX):
+        return False
+    w, h = float(x_max) - float(x_min), float(y_max) - float(y_min)
+    return 0.0 <= w <= _FMAX and 0.0 <= h <= _FMAX and w * h <= MAX_SHAPE_AREA
 
 
 def _midpoint(lo, hi) -> float:

@@ -35,7 +35,6 @@ class BoxLossResult:
 
 
 _VARIANTS = {v.value: v for v in LossVariant}
-_MSE_SAFE = 2.0**509
 
 
 def box_loss(pred: CenterBox, truth: CenterBox,
@@ -61,14 +60,10 @@ def box_loss(pred: CenterBox, truth: CenterBox,
         raise ValueError(f"ground-truth box must have positive size: {truth}")
 
     if variant is LossVariant.MSE:
-        p, t = (pred.x_c, pred.y_c, pred.w, pred.h), (truth.x_c, truth.y_c, truth.w, truth.h)
-        # coordinates up to 2**509 differ by up to 2**510, and four squares of
-        # that sum inside the float range: only larger ones can overflow
-        if max(map(abs, p + t)) <= _MSE_SAFE:
-            diff, value = _squared_error(p, t)
-        else:
-            with np.errstate(over="ignore"):  # refused below; a finite sum has a finite 2 * diff
-                diff, value = _squared_error(p, t)
+        with np.errstate(over="ignore"):  # refused below; a finite sum has a finite 2 * diff
+            diff = (np.array([pred.x_c, pred.y_c, pred.w, pred.h], dtype=float)
+                    - np.array([truth.x_c, truth.y_c, truth.w, truth.h], dtype=float))
+            value = float(diff @ diff)
         if value == math.inf:
             raise ValueError(f"mse loss leaves the float range: {pred}, {truth}")
         return BoxLossResult(value, 2.0 * diff)
@@ -82,12 +77,6 @@ def box_loss(pred: CenterBox, truth: CenterBox,
     except ArithmeticError:  # or a square outside the normal float range
         raise ValueError(f"{variant.value} loss leaves the float range: {pred}, {truth}") from None
     return BoxLossResult(1.0 - metric, np.array([-gx, -gy, -gw, -gh]))
-
-
-def _squared_error(p: tuple, t: tuple) -> tuple[np.ndarray, float]:
-    """The difference of two coordinate 4-tuples and its sum of squares."""
-    diff = np.array(p, dtype=float) - np.array(t, dtype=float)
-    return diff, float(diff @ diff)
 
 
 def _binding(hi: float, lo: float) -> tuple[float, float]:

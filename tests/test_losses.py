@@ -289,31 +289,6 @@ class TestBoxLoss:
         assert res.value == float(diff @ diff) == 1e154 * 1e154
         assert np.array_equal(res.grad, 2.0 * diff)
 
-    def test_mse_equals_the_guarded_form_across_the_range(self):
-        """Values and gradients equal, bit for bit, the numpy form computed
-        under `np.errstate`, on both sides of the 2**509 coordinate bound;
-        an overflowing sum raises, with no numpy warning."""
-        rng = np.random.default_rng(509)
-        bound = 2.0**509
-        edges = [bound, np.nextafter(bound, 0.0), np.nextafter(bound, math.inf), 2.0**510]
-        for _ in range(2000):
-            scale = float(rng.choice([1.0, 1e150, bound, 1e160, 1e300]))
-            coords = rng.uniform(-1.0, 1.0, 8) * scale
-            coords[rng.random(8) < 0.1] = rng.choice(edges) * rng.choice([-1.0, 1.0])
-            coords[[2, 6]] = np.abs(coords[[2, 6]])
-            coords[[3, 7]] = rng.uniform(0.5, 2.0, 2)  # areas within the bound
-            p, t = coords[:4].tolist(), coords[4:].tolist()
-            with np.errstate(over="ignore"):
-                diff = np.array(p) - np.array(t)
-                value = float(diff @ diff)
-            pred, truth = CenterBox(*p), CenterBox(*t)
-            if value == math.inf or t[2] == 0.0:
-                with pytest.raises(ValueError):
-                    box_loss(pred, truth, "mse")
-                continue
-            res = box_loss(pred, truth, "mse")
-            assert res.value == value and res.grad.tobytes() == (2.0 * diff).tobytes()
-
     # CIoU's aspect term divides by pw * pw + ph * ph, which underflows to 0
     # for the first prediction and is subnormal for the second; the other
     # variants score both pairs
