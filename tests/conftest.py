@@ -1,6 +1,8 @@
 import json
+import platform
 
 import numpy as np
+import pytest
 
 from detbag.ingest import save_image
 
@@ -34,3 +36,29 @@ def write_detections(root, records, name="detections.json"):
     path = root / name
     path.write_text(json.dumps(records))
     return path
+
+
+def host() -> dict:
+    """The numpy version and platform a pinned output was taken on."""
+    return {"numpy": np.__version__,
+            "platform": "-".join((platform.system(), platform.machine(), *platform.libc_ver()))}
+
+
+def assert_pinned(path, key, got: dict) -> None:
+    """Each entry of `got` must equal the one under `key` in the pinned JSON
+    file at `path`. Float reprs depend on libm and numpy's own math, so when
+    an entry differs on another numpy or platform than the file's, the test
+    skips, naming both."""
+    pinned = json.loads(path.read_text())
+    want = {name: pinned[key][name] for name in got}
+    if got != want and host() != pinned["host"]:
+        pytest.skip(f"output taken on {pinned['host']}, run on {host()}")
+    for name in got:
+        assert got[name] == want[name], name
+
+
+def write_pinned(path, key, got: dict, **fields) -> None:
+    """Rewrite the pinned JSON file at `path`: `fields`, this host, then `got`
+    under `key`. A change that moves a pinned output on purpose runs its
+    test module as a script, which calls this."""
+    path.write_text(json.dumps({**fields, "host": host(), key: got}, indent=2) + "\n")

@@ -8,21 +8,18 @@ both. A change that moves the output on purpose rewrites the file with
 `python tests/test_cli_golden.py`.
 """
 
-import json
-import platform
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from conftest import write_dataset  # noqa: E402
+from conftest import assert_pinned, write_dataset, write_pinned  # noqa: E402
 from detbag.cli import main  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).with_name("optimize_anchors_golden.json")
@@ -33,11 +30,6 @@ CASES = {
     "evolve-text": ["--k", "6", "--seed", "3", *GA],
     "evolve-json": ["--k", "6", "--seed", "3", *GA, "--json"],
 }
-
-
-def host() -> dict:
-    return {"numpy": np.__version__,
-            "platform": "-".join((platform.system(), platform.machine(), *platform.libc_ver()))}
 
 
 def annotation_file(root: Path) -> Path:
@@ -63,17 +55,11 @@ def outputs(root: Path) -> dict[str, str]:
 
 
 def test_optimize_anchors_output_pinned(tmp_path):
-    pinned = json.loads(GOLDEN_PATH.read_text())
-    got = outputs(tmp_path)
-    if got != pinned["outputs"] and host() != pinned["host"]:
-        pytest.skip(f"output taken on {pinned['host']}, run on {host()}")
-    for name in CASES:
-        assert got[name] == pinned["outputs"][name], name
+    assert_pinned(GOLDEN_PATH, "outputs", outputs(tmp_path))
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN_PATH.write_text(json.dumps({"host": host(), "outputs": outputs(Path(tmp))},
-                                          indent=2) + "\n")
+        write_pinned(GOLDEN_PATH, "outputs", outputs(Path(tmp)))

@@ -9,12 +9,9 @@ purpose rewrites the file with `python tests/test_workload_digests.py`.
 """
 
 import hashlib
-import json
-import platform
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -22,16 +19,12 @@ for path in (BENCH_DIR.parent / "src", BENCH_DIR):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
+from conftest import assert_pinned, write_pinned  # noqa: E402
 from detbench.spans import Tracer  # noqa: E402
 from detbench.workloads import WORKLOADS  # noqa: E402
 
 DIGESTS_PATH = Path(__file__).with_name("workload_digests.json")
 SEED = 0
-
-
-def host() -> dict:
-    return {"numpy": np.__version__,
-            "platform": "-".join((platform.system(), platform.machine(), *platform.libc_ver()))}
 
 
 def pass_digest(wl, workdir: Path) -> str:
@@ -50,11 +43,7 @@ def pass_digest(wl, workdir: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_seed_0_pass_digest(name, tmp_path):
-    pinned = json.loads(DIGESTS_PATH.read_text())
-    got = pass_digest(WORKLOADS[name], tmp_path)
-    if got != pinned["digests"][name] and host() != pinned["host"]:
-        pytest.skip(f"{name} digest taken on {pinned['host']}, run on {host()}")
-    assert got == pinned["digests"][name]
+    assert_pinned(DIGESTS_PATH, "digests", {name: pass_digest(WORKLOADS[name], tmp_path)})
 
 
 if __name__ == "__main__":
@@ -64,5 +53,4 @@ if __name__ == "__main__":
     for name in sorted(WORKLOADS):
         with tempfile.TemporaryDirectory() as tmp:
             digests[name] = pass_digest(WORKLOADS[name], Path(tmp))
-    DIGESTS_PATH.write_text(json.dumps({"seed": SEED, "host": host(), "digests": digests},
-                                       indent=2) + "\n")
+    write_pinned(DIGESTS_PATH, "digests", digests, seed=SEED)
