@@ -228,9 +228,10 @@ def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
     brightness is additive, contrast scales about the image mean, hue
     rotates the HSV wheel (in turns), saturation scales the HSV S channel,
     and noise adds clamped gaussian noise. Every stage that sits at its
-    identity value is skipped, so all-identity parameters return the image
-    bit-exact. Raises ValueError, before any pixel work, naming a parameter
-    that is not finite, a negative noise_sigma, or noise without an rng.
+    identity value is skipped, so all-identity parameters return a new
+    array, equal to the image bit for bit. Raises ValueError, before any
+    pixel work, naming a parameter that is not finite, a negative
+    noise_sigma, or noise without an rng.
 
     The stages run in place on one output array, a block of rows at a time
     (brightness in a pass of its own, as contrast needs the mean of its
@@ -248,8 +249,6 @@ def photometric(s: Sample, brightness: float = 0.0, contrast: float = 1.0,
         raise ValueError("noise_sigma > 0 needs an rng")
     img = s.image
     jitter_hsv = hue != 0.0 or saturation != 1.0
-    if brightness == 0.0 and contrast == 1.0 and not jitter_hsv and noise_sigma == 0.0:
-        return Sample(img, list(s.labels), list(s.weights))
     # in the input's memory order, so that contrast's mean sums as it would
     # over a whole-image result
     out = np.empty_like(img)

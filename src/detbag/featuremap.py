@@ -28,8 +28,6 @@ def _check_map(f: np.ndarray, name: str = "feature map") -> np.ndarray:
 def _sliding_max(x: np.ndarray, k: int, axis: int) -> np.ndarray:
     """Max over a length-k window, stride 1, centered; out-of-bounds cells
     contribute nothing (pad with -inf)."""
-    if k == 1:
-        return x
     p = (k - 1) // 2
     pad = [(p, p) if a == axis else (0, 0) for a in range(x.ndim)]
     padded = np.pad(x, pad, constant_values=-np.inf)

@@ -282,7 +282,7 @@ def load_image(path) -> np.ndarray:
         raise ValueError(f"{path}: truncated pixel payload "
                          f"({len(payload)} of {width * height * 3} bytes)")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return pixels.astype(float) / maxval
+    return pixels / maxval
 
 
 def save_image(image: np.ndarray, path) -> None:

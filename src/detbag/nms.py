@@ -49,14 +49,13 @@ def _suppress(dets: list[Detection], overlap, effect, decays: bool) -> list[tupl
     input index; a dead box holds -1, or when the variant `decays`, any
     score under `SCORE_FLOOR`. When a pick has no row yet, the live set is
     compacted and one broadcast `overlap` call gives the rows of the
-    top-`_BLOCK` live boxes by score (ties to the lower position, as argmax
-    picks them) against it. `effect` turns the block into score factors
-    when the variant decays, else keep masks, and each pick applies its row
-    with one array op. Every element is the same arithmetic on the same
-    pair as a per-pick row, so the values are `==` whatever the block.
+    top-`_BLOCK` live boxes by score against it: a stable sort of the
+    negated scores, so ties at the cut go to the lower position, as argmax
+    picks them. `effect` turns the block into score factors when the
+    variant decays, else keep masks, and each pick applies its row with one
+    array op. Every element is the same arithmetic on the same pair as a
+    per-pick row, so the values are `==` whatever the block.
     """
-    if not dets:
-        return []
     boxes, scores, labels = detection_arrays(dets)
     out: list[tuple[float, int]] = []
     for cid in dict.fromkeys(labels.tolist()):
@@ -69,15 +68,8 @@ def _suppress(dets: list[Detection], overlap, effect, decays: bool) -> list[tupl
             if row_of[k] < 0:
                 alive = s >= bar
                 live, s = live[alive], s[alive]
-                if live.size == 1:  # a lone box is kept without an overlap row
-                    out.append((float(s[0]), int(live[0])))
-                    break
                 k = s.argmax()
-                top = np.arange(live.size)
-                if live.size > _BLOCK:  # ties at the cut go to lower positions
-                    cut = np.partition(s, -_BLOCK)[-_BLOCK]
-                    top = np.concatenate([np.flatnonzero(s > cut),
-                                          np.flatnonzero(s == cut)])[:_BLOCK]
+                top = np.argsort(-s, kind="stable")[:_BLOCK]
                 live_boxes = boxes[live]
                 block = effect(overlap(live_boxes[top][:, None], live_boxes[None, :]))
                 row_of = np.full(live.size, -1)

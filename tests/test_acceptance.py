@@ -21,8 +21,8 @@ from detbag.featuremap import SPP_DEFAULT_KERNELS, activation, spp
 from detbag.geometry import Box, CenterBox, ciou, diou, giou, iou
 from detbag.nms import Detection, diou_nms, greedy_nms
 from detbag.trainsched import CmBNAccumulator
+from detbench.oracles import reference_evaluate
 
-from test_evalap import reference_evaluate
 from test_featuremap import naive_max_pool
 from test_geometry import raster_iou
 from test_losses import check_gradients

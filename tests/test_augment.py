@@ -184,7 +184,8 @@ class TestPhotometric:
     def test_identity_parameters_bit_exact(self):
         s = self.sample()
         out = photometric(s)
-        assert np.array_equal(out.image, s.image)
+        assert out.image is not s.image
+        assert out.image.tobytes() == s.image.tobytes()
         assert out.labels == s.labels
 
     def test_brightness_shift(self):

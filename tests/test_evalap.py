@@ -8,97 +8,7 @@ from detbag.evalap import (_BUCKETS, _KEY_BLOCK, IOU_THRESHOLDS, RECALL_GRID, Ev
                            parse_coco_detections)
 from detbag.geometry import Box, box_iou, corners
 from detbag.nms import Detection
-
-
-def plain_iou(a, b):
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    inter = max(ix, 0.0) * max(iy, 0.0)
-    union = a.area + b.area - inter
-    return inter / union if union > 0 else 0.0
-
-
-def reference_evaluate(dets, truths):
-    """Straight-line reference: explicit loops, no shared code with the
-    library evaluator beyond the Box type."""
-    thresholds = [0.5 + 0.05 * i for i in range(10)]
-    buckets = {
-        "all": lambda a: True,
-        "small": lambda a: a < 32.0**2,
-        "medium": lambda a: 32.0**2 <= a <= 96.0**2,
-        "large": lambda a: a > 96.0**2,
-    }
-    classes = sorted({cid for labeled in truths.values() for _, cid in labeled}
-                     | {d.class_id for ds in dets.values() for d in ds})
-
-    # flatten detections with a global submission order for tie-breaking
-    flat = []
-    order = 0
-    for img in sorted(dets):
-        for d in dets[img]:
-            flat.append((d.score, order, img, d))
-            order += 1
-
-    def class_ap(cid, thr, bucket_fn):
-        gt = {img: [(box, bucket_fn(box.area)) for box, c in labeled if c == cid]
-              for img, labeled in truths.items()}
-        n_pos = sum(1 for boxes in gt.values() for _, inside in boxes if inside)
-        if n_pos == 0:
-            return None
-        cls_dets = sorted([f for f in flat if f[3].class_id == cid],
-                          key=lambda f: (-f[0], f[1]))
-        used = {img: [False] * len(boxes) for img, boxes in gt.items()}
-        tps, fps = [], []
-        for _score, _order, img, det in cls_dets:
-            boxes = gt.get(img, [])
-            choice, choice_ignored = -1, -1
-            for j, (tbox, inside) in enumerate(boxes):
-                if used[img][j] or plain_iou(det.box, tbox) < thr:
-                    continue
-                if inside:
-                    if choice < 0 or plain_iou(det.box, tbox) > plain_iou(det.box, boxes[choice][0]):
-                        choice = j
-                else:
-                    if choice_ignored < 0 or plain_iou(det.box, tbox) > plain_iou(det.box, boxes[choice_ignored][0]):
-                        choice_ignored = j
-            if choice >= 0:
-                used[img][choice] = True
-                tps.append(1)
-                fps.append(0)
-            elif choice_ignored >= 0:
-                used[img][choice_ignored] = True
-            elif bucket_fn(det.box.area):
-                tps.append(0)
-                fps.append(1)
-        if not tps:
-            return 0.0
-        total = 0.0
-        for i_grid in range(101):
-            r = i_grid / 100.0
-            best_prec = 0.0
-            tp_cum = fp_cum = 0
-            for tp, fp in zip(tps, fps):
-                tp_cum += tp
-                fp_cum += fp
-                if tp_cum / n_pos >= r:
-                    best_prec = max(best_prec, tp_cum / (tp_cum + fp_cum))
-            total += best_prec
-        return total / 101.0
-
-    def mean_ap(bucket, thr_subset):
-        vals = [class_ap(c, t, buckets[bucket]) for c in classes
-                for t in thr_subset]
-        vals = [v for v in vals if v is not None]
-        return sum(vals) / len(vals) if vals else None
-
-    return {
-        "AP": mean_ap("all", thresholds),
-        "AP50": mean_ap("all", [0.5]),
-        "AP75": mean_ap("all", [0.75]),
-        "AP_S": mean_ap("small", thresholds),
-        "AP_M": mean_ap("medium", thresholds),
-        "AP_L": mean_ap("large", thresholds),
-    }
+from detbench.oracles import reference_evaluate
 
 
 def interpolated_ap(recalls, precisions):

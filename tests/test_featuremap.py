@@ -27,6 +27,8 @@ class TestSpp:
         rng = np.random.default_rng(97)
         f = rng.normal(size=(3, 6, 5))
         assert np.array_equal(spp(f, (1,)), f)
+        pooled = max_pool_same(f, 1)
+        assert pooled is not f and np.array_equal(pooled, f)
 
     def test_default_kernels_quadruple_channels(self):
         f = np.zeros((4, 16, 16))
