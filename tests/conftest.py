@@ -38,27 +38,31 @@ def write_detections(root, records, name="detections.json"):
     return path
 
 
-def host() -> dict:
-    """The numpy version and platform a pinned output was taken on."""
-    return {"numpy": np.__version__,
-            "platform": "-".join((platform.system(), platform.machine(), *platform.libc_ver()))}
+def host(python: bool = False) -> dict:
+    """The numpy version and platform a pinned output was taken on, and with
+    `python` the Python version, for outputs that depend on it."""
+    out = {"numpy": np.__version__,
+           "platform": "-".join((platform.system(), platform.machine(), *platform.libc_ver()))}
+    if python:
+        out["python"] = platform.python_version()
+    return out
 
 
-def assert_pinned(path, key, got: dict) -> None:
+def assert_pinned(path, key, got: dict, python: bool = False) -> None:
     """Each entry of `got` must equal the one under `key` in the pinned JSON
     file at `path`. Float reprs depend on libm and numpy's own math, so when
-    an entry differs on another numpy or platform than the file's, the test
+    an entry differs on another host than the file's (see `host`), the test
     skips, naming both."""
     pinned = json.loads(path.read_text())
     want = {name: pinned[key][name] for name in got}
-    if got != want and host() != pinned["host"]:
-        pytest.skip(f"output taken on {pinned['host']}, run on {host()}")
+    if got != want and host(python) != pinned["host"]:
+        pytest.skip(f"output taken on {pinned['host']}, run on {host(python)}")
     for name in got:
         assert got[name] == want[name], name
 
 
-def write_pinned(path, key, got: dict, **fields) -> None:
+def write_pinned(path, key, got: dict, python: bool = False, **fields) -> None:
     """Rewrite the pinned JSON file at `path`: `fields`, this host, then `got`
     under `key`. A change that moves a pinned output on purpose runs its
     test module as a script, which calls this."""
-    path.write_text(json.dumps({**fields, "host": host(), key: got}, indent=2) + "\n")
+    path.write_text(json.dumps({**fields, "host": host(python), key: got}, indent=2) + "\n")

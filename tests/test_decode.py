@@ -141,6 +141,50 @@ class TestDecode:
         assert decode(pred(anchor_index=1), cfg).box.w == 20.0
 
 
+# logits at the edges of `sigmoid`'s two branches: signed zeros and
+# subnormals, where exp() nears overflow (709.78) and underflow (-745.2),
+# the float range and infinities
+EDGE_LOGITS = (0.0, -0.0, 5e-324, -5e-324, 709.78, -709.78, 745.2, -745.2,
+               1e308, -1e308, math.inf, -math.inf)
+
+
+def listed_sigmoids(p: RawPrediction) -> np.ndarray:
+    """The class probabilities as one scalar `sigmoid` per logit, collected
+    into a list and then an array: the reference `decode` must equal."""
+    return np.array([sigmoid(c) for c in p.class_scores])
+
+
+class TestClassProbs:
+    def test_same_bytes_as_listed_sigmoids(self):
+        cfg = make_cfg(s=1.1, stride=8.0, anchors=((10.0, 14.0), (23.0, 27.0)))
+        rng = np.random.default_rng(2024)
+        for i in range(2000):
+            n = (0, 1, 20, 80)[i % 4]
+            logits = rng.normal(0.0, (1.0, 10.0, 800.0)[i % 3], n)
+            edge = rng.random(n) < 0.2
+            logits[edge] = rng.choice(EDGE_LOGITS, int(edge.sum()))
+            scores = [float(v) for v in logits]
+            p = RawPrediction(*rng.normal(0.0, 3.0, 5).tolist(),
+                              class_scores=tuple(scores) if i % 2 else scores,
+                              cell=(int(rng.integers(13)), int(rng.integers(13))),
+                              anchor_index=int(rng.integers(2)))
+            got, want = decode(p, cfg).class_probs, listed_sigmoids(p)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), p
+            assert got.tobytes() == want.tobytes(), p
+            assert got.flags.c_contiguous == want.flags.c_contiguous, p
+            assert got.flags.writeable == want.flags.writeable, p
+
+    @pytest.mark.parametrize("n,at", [(1, 0), (20, 0), (20, 19), (80, 41)])
+    @pytest.mark.parametrize("container", [tuple, list])
+    def test_nan_class_logit_raises_naming_prediction(self, n, at, container):
+        scores = [0.5] * n
+        scores[at] = math.nan
+        p = pred(class_scores=container(scores))
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            decode(p, make_cfg())
+        assert repr(p) in str(exc.value)
+
+
 class TestAssignAnchors:
     CFG = make_cfg(anchors=((10, 10), (20, 20), (5, 40)), stride=32.0, grid=16)
 

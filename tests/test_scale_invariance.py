@@ -2,6 +2,7 @@
 changes no suppression decision and no AP: the IoU family is scale
 invariant, and a power of two scales each float exactly. An absolute
 epsilon or pixel floor anywhere on the path breaks this, at some scale.
+Head decoding scales the same way with its stride and anchors.
 
 AP_S, AP_M and AP_L are left out: their area buckets are absolute pixels.
 """
@@ -12,6 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detbag.decode import Anchor, DecodeConfig, RawPrediction, decode
 from detbag.evalap import evaluate
 from detbag.geometry import Box, box_diou, box_iou, corners
 from detbag.nms import Detection, diou_nms, greedy_nms, soft_nms
@@ -77,3 +79,31 @@ def test_power_of_two_scale_changes_no_nms_or_ap_output(seed, k):
     want = evaluate({1: dets}, {1: truths})
     got = evaluate({1: big_dets}, {1: big_truths})
     assert (got.ap, got.ap50, got.ap75) == (want.ap, want.ap50, want.ap75)
+
+
+LOGIT = st.floats(-30.0, 30.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(-20, 20), s=st.sampled_from([1.0, 1.1, 2.0]),
+       stride=st.sampled_from([8.0, 16.0, 32.0, 7.5]),
+       sides=st.tuples(st.floats(0.5, 600.0), st.floats(0.5, 600.0)),
+       logits=st.tuples(LOGIT, LOGIT, LOGIT, LOGIT, LOGIT),
+       class_scores=st.lists(LOGIT, max_size=4).map(tuple),
+       cell=st.tuples(st.integers(0, 12), st.integers(0, 12)))
+@example(k=20, s=1.1, stride=32.0, sides=(600.0, 0.5), logits=(30.0, -30.0, 30.0, -30.0, 0.0),
+         class_scores=(30.0, -30.0), cell=(12, 0))
+@example(k=-20, s=2.0, stride=8.0, sides=(0.5, 600.0), logits=(-30.0, 30.0, -30.0, 30.0, 1.0),
+         class_scores=(-30.0,), cell=(0, 12))
+def test_power_of_two_stride_and_anchors_scale_the_decoded_box(
+        k, s, stride, sides, logits, class_scores, cell):
+    def config(scale):
+        return DecodeConfig(13, 13, math.ldexp(stride, scale),
+                            (Anchor(*(math.ldexp(v, scale) for v in sides)),), s)
+
+    p = RawPrediction(*logits, class_scores=class_scores, cell=cell)
+    want, got = decode(p, config(0)), decode(p, config(k))
+    assert [math.ldexp(v, -k) for v in (got.box.x_c, got.box.y_c, got.box.w, got.box.h)] == \
+        [want.box.x_c, want.box.y_c, want.box.w, want.box.h]
+    assert got.objectness == want.objectness
+    assert np.array_equal(got.class_probs, want.class_probs)
