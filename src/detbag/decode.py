@@ -97,14 +97,21 @@ def _sigmoid_array(x: np.ndarray) -> np.ndarray:
 def decode(p: RawPrediction, cfg: DecodeConfig) -> Decoded:
     """Decode raw head outputs into a pixel-space box plus probabilities.
     Raises ValueError on a cell or anchor_index outside `cfg`, and naming
-    `p` when its box overflows or any of its logits is NaN."""
-    c_x, c_y = p.cell
-    if not (0 <= c_x < cfg.grid_w and 0 <= c_y < cfg.grid_h):
-        raise ValueError(f"cell {p.cell} outside {cfg.grid_w}x{cfg.grid_h} grid")
-    if not 0 <= p.anchor_index < len(cfg.anchors):
-        raise ValueError(f"anchor_index {p.anchor_index} outside the "
-                         f"{len(cfg.anchors)} anchors")
-    anchor = cfg.anchors[p.anchor_index]
+    `p` when its box overflows, any of its logits is NaN, or a field is not
+    of its declared type."""
+    try:
+        c_x, c_y = p.cell
+    except (TypeError, ValueError):
+        raise ValueError(f"cell is not a pair: {p}") from None
+    try:
+        if not (0 <= c_x < cfg.grid_w and 0 <= c_y < cfg.grid_h):
+            raise ValueError(f"cell {p.cell} outside {cfg.grid_w}x{cfg.grid_h} grid")
+        if not 0 <= p.anchor_index < len(cfg.anchors):
+            raise ValueError(f"anchor_index {p.anchor_index} outside the "
+                             f"{len(cfg.anchors)} anchors")
+        anchor = cfg.anchors[p.anchor_index]
+    except TypeError:
+        raise ValueError(f"cell and anchor_index must be integers: {p}") from None
     s = cfg.sensitivity_scale
     half_expand = (s - 1.0) / 2.0
     try:
@@ -112,11 +119,13 @@ def decode(p: RawPrediction, cfg: DecodeConfig) -> Decoded:
         b_y = (s * sigmoid(p.t_y) - half_expand + c_y) * cfg.stride
         box = CenterBox(b_x, b_y, anchor.w * math.exp(p.t_w),
                         anchor.h * math.exp(p.t_h))
-        probs = np.array([sigmoid(c) for c in p.class_scores])
+        probs = np.fromiter(map(sigmoid, p.class_scores), float, len(p.class_scores))
         objectness = sigmoid(p.objectness)
     except (OverflowError, ValueError):
         raise ValueError(f"prediction decodes to a non-finite box "
                          f"or probability: {p}") from None
+    except TypeError:
+        raise ValueError(f"logits must be numbers and class_scores a sequence: {p}") from None
     return Decoded(box, objectness, probs)
 
 

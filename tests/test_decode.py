@@ -140,6 +140,23 @@ class TestDecode:
             decode(pred(anchor_index=index), cfg)
         assert decode(pred(anchor_index=1), cfg).box.w == 20.0
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("t_x", "1.0", "logits must be numbers"), ("t_h", None, "logits must be numbers"),
+        ("objectness", "0", "logits must be numbers"),
+        ("class_scores", (0.0, None), "logits must be numbers"),
+        ("class_scores", ("0.5",), "logits must be numbers"),
+        ("class_scores", None, "class_scores a sequence"),
+        ("class_scores", iter([0.0]), "class_scores a sequence"),
+        ("anchor_index", 1.0, "anchor_index must be"), ("anchor_index", "0", "anchor_index must be"),
+        ("cell", (1, 2, 3), "cell is not a pair"), ("cell", (1,), "cell is not a pair"),
+        ("cell", None, "cell is not a pair"), ("cell", ("1", 0), "cell and anchor_index"),
+    ])
+    def test_malformed_field_raises_naming_prediction(self, field, value, message):
+        p = dataclasses.replace(pred(class_scores=(0.0, 1.0)), **{field: value})
+        with pytest.raises(ValueError, match=message) as exc:
+            decode(p, make_cfg(anchors=((10.0, 10.0), (20.0, 40.0))))
+        assert repr(p) in str(exc.value)
+
 
 # logits at the edges of `sigmoid`'s two branches: signed zeros and
 # subnormals, where exp() nears overflow (709.78) and underflow (-745.2),
